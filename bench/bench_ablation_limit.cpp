@@ -39,7 +39,6 @@ int main(int argc, char** argv) {
   for (const char* id : {"E0", "E4", "E6", "E9"}) {
     const fault::InjectedError& error = fault::errorById(id);
     for (unsigned limit = 1; limit <= 4; ++limit) {
-      expr::ExprBuilder eb;
       core::CosimConfig cfg;
       cfg.rtl = rtl::fixedRtlConfig();
       cfg.iss.csr = iss::CsrConfig::specCorrect();
@@ -51,9 +50,8 @@ int main(int argc, char** argv) {
       opts.stop_on_error = true;
       opts.max_paths = 50000;
       opts.max_seconds = 120;
-      core::CoSimulation cosim(eb, cfg);
-      symex::Engine engine(eb, opts);
-      const auto report = engine.run(cosim.program());
+      symex::Engine engine(opts);
+      const auto report = engine.run(core::cosimFactory(cfg));
 
       std::printf("%-7s %-7u | %-7s %12llu %9.3f %9llu %7llu\n", id, limit,
                   report.error_paths > 0 ? "found" : "MISS",

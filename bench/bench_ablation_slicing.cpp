@@ -64,31 +64,27 @@ int main(int argc, char** argv) {
     bool e4_found = false;
     double e4_time = 0;
     {
-      expr::ExprBuilder eb;
       core::CosimConfig cfg = baseConfig(slice);
       fault::errorById("E4").apply(cfg);
       symex::EngineOptions opts;
       opts.stop_on_error = true;
       opts.max_paths = 3000;
       opts.max_seconds = 60;
-      core::CoSimulation cosim(eb, cfg);
-      symex::Engine engine(eb, opts);
-      const auto report = engine.run(cosim.program());
+      symex::Engine engine(opts);
+      const auto report = engine.run(core::cosimFactory(cfg));
       e4_found = report.error_paths > 0;
       e4_time = report.seconds;
     }
 
     // Part B: cost of a fixed-budget free exploration.
-    expr::ExprBuilder eb;
     core::CosimConfig cfg = baseConfig(slice);
     symex::EngineOptions opts;
     opts.stop_on_error = false;
     opts.max_paths = 600;
     opts.max_seconds = 120;
     opts.max_stored_paths = 1;
-    core::CoSimulation cosim(eb, cfg);
-    symex::Engine engine(eb, opts);
-    const auto report = engine.run(cosim.program());
+    symex::Engine engine(opts);
+    const auto report = engine.run(core::cosimFactory(cfg));
 
     std::printf("%-10u | %-12s %9.3f | %8llu %9llu %12llu %9.3f\n", slice,
                 e4_found ? "found" : "NOT FOUND", e4_time,

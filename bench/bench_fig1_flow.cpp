@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
 
   // Stage 4: co-simulation binding (testbench main + voter + memories).
   t0 = Clock::now();
-  core::CoSimulation cosim(eb, config);
+  const symex::ProgramFactory cosim = core::cosimFactory(config);
   const double t_bind = secondsSince(t0);
 
   // Stage 5: symbolic execution (the KLEE box) — bounded exploration.
@@ -101,8 +101,8 @@ int main(int argc, char** argv) {
   symex::EngineOptions opts;
   opts.stop_on_error = false;
   opts.max_paths = 300;
-  symex::Engine engine(eb, opts);
-  const symex::EngineReport report = engine.run(cosim.program());
+  symex::Engine engine(opts);
+  const symex::EngineReport report = engine.run(cosim);
   const double t_symex = secondsSince(t0);
 
   // Stage 6: test-vector emission.

@@ -14,7 +14,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -24,7 +23,7 @@
 #include "fuzz/fuzzer.hpp"
 #include "harness/reporter.hpp"
 #include "obs/json.hpp"
-#include "symex/parallel.hpp"
+#include "symex/engine.hpp"
 
 namespace {
 
@@ -83,16 +82,12 @@ int main(int argc, char** argv) {
     fuzz_found += fr.found ? 1 : 0;
 
     // Symbolic engine (one co-sim harness per worker).
-    symex::ParallelEngineOptions sopts;
+    symex::EngineOptions sopts;
     sopts.stop_on_error = true;
     sopts.max_seconds = 60;
     sopts.jobs = g_jobs;
-    symex::ParallelEngine engine(sopts);
-    const symex::EngineReport sr =
-        engine.run([&cfg](symex::WorkerContext& ctx) {
-          auto cosim = std::make_shared<core::CoSimulation>(ctx.builder, cfg);
-          return [cosim](symex::ExecState& st) { cosim->runPath(st); };
-        });
+    symex::Engine engine(sopts);
+    const symex::EngineReport sr = engine.run(core::cosimFactory(cfg));
     symex_found += sr.error_paths > 0 ? 1 : 0;
 
     std::printf("%-5s %-42s | %-9s %9llu %9.2f | %-9s %9llu %9.3f\n",

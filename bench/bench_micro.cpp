@@ -13,9 +13,7 @@
 #include "rv32/encode.hpp"
 #include "solver/solver.hpp"
 #include "symex/engine.hpp"
-#include "symex/parallel.hpp"
 
-#include <memory>
 
 namespace {
 
@@ -145,16 +143,14 @@ BENCHMARK(BM_RtlConcreteInstruction);
 void BM_CosimSymbolicExploration(benchmark::State& state) {
   // One bounded symbolic exploration of the authentic pair per iteration.
   for (auto _ : state) {
-    expr::ExprBuilder eb;
     core::CosimConfig cfg;
     cfg.instr_limit = 1;
     symex::EngineOptions opts;
     opts.stop_on_error = false;
     opts.max_paths = static_cast<std::uint64_t>(state.range(0));
     opts.collect_test_vectors = false;
-    core::CoSimulation cosim(eb, cfg);
-    symex::Engine engine(eb, opts);
-    benchmark::DoNotOptimize(engine.run(cosim.program()));
+    symex::Engine engine(opts);
+    benchmark::DoNotOptimize(engine.run(core::cosimFactory(cfg)));
   }
 }
 BENCHMARK(BM_CosimSymbolicExploration)->Arg(25)->Arg(100);
@@ -164,7 +160,6 @@ void BM_KnownBitsAblation(benchmark::State& state) {
   // range(0)==1 enables it.
   const bool use_kb = state.range(0) != 0;
   for (auto _ : state) {
-    expr::ExprBuilder eb;
     core::CosimConfig cfg;
     cfg.instr_limit = 1;
     symex::EngineOptions opts;
@@ -172,9 +167,8 @@ void BM_KnownBitsAblation(benchmark::State& state) {
     opts.max_paths = 50;
     opts.use_known_bits = use_kb;
     opts.collect_test_vectors = false;
-    core::CoSimulation cosim(eb, cfg);
-    symex::Engine engine(eb, opts);
-    const auto report = engine.run(cosim.program());
+    symex::Engine engine(opts);
+    const auto report = engine.run(core::cosimFactory(cfg));
     state.counters["solver_checks"] =
         benchmark::Counter(static_cast<double>(report.solver_checks));
     state.counters["knownbits_hits"] =
@@ -192,16 +186,13 @@ void BM_ParallelExplorationJobs(benchmark::State& state) {
   for (auto _ : state) {
     core::CosimConfig cfg;
     cfg.instr_limit = 1;
-    symex::ParallelEngineOptions opts;
+    symex::EngineOptions opts;
     opts.stop_on_error = false;
     opts.max_paths = 100;
     opts.collect_test_vectors = false;
     opts.jobs = jobs;
-    symex::ParallelEngine engine(opts);
-    const auto report = engine.run([&cfg](symex::WorkerContext& ctx) {
-      auto cosim = std::make_shared<core::CoSimulation>(ctx.builder, cfg);
-      return [cosim](symex::ExecState& st) { cosim->runPath(st); };
-    });
+    symex::Engine engine(opts);
+    const auto report = engine.run(core::cosimFactory(cfg));
     state.counters["paths"] =
         benchmark::Counter(static_cast<double>(report.totalPaths()));
     state.counters["qcache_hits"] =

@@ -15,7 +15,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -23,7 +22,7 @@
 #include "fault/faults.hpp"
 #include "harness/reporter.hpp"
 #include "obs/json.hpp"
-#include "symex/parallel.hpp"
+#include "symex/engine.hpp"
 
 namespace {
 
@@ -40,19 +39,15 @@ struct Sample {
 
 Sample runWorkload(const std::string& name, const core::CosimConfig& cfg,
                    bool stop_on_error, unsigned jobs) {
-  symex::ParallelEngineOptions opts;
+  symex::EngineOptions opts;
   opts.stop_on_error = stop_on_error;
   opts.max_seconds = 300;
   opts.max_paths = stop_on_error ? 200000 : 400;
   opts.collect_test_vectors = false;
   opts.jobs = jobs;
 
-  symex::ParallelEngine engine(opts);
-  const symex::EngineReport report =
-      engine.run([&cfg](symex::WorkerContext& ctx) {
-        auto cosim = std::make_shared<core::CoSimulation>(ctx.builder, cfg);
-        return [cosim](symex::ExecState& st) { cosim->runPath(st); };
-      });
+  symex::Engine engine(opts);
+  const symex::EngineReport report = engine.run(core::cosimFactory(cfg));
 
   Sample s;
   s.workload = name;

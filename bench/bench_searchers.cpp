@@ -27,7 +27,6 @@ struct Outcome {
 
 Outcome hunt(const fault::InjectedError& error,
              symex::EngineOptions::Searcher searcher) {
-  expr::ExprBuilder eb;
   core::CosimConfig cfg;
   cfg.rtl = rtl::fixedRtlConfig();
   cfg.iss.csr = iss::CsrConfig::specCorrect();
@@ -39,9 +38,8 @@ Outcome hunt(const fault::InjectedError& error,
   opts.searcher = searcher;
   opts.stop_on_error = true;
   opts.max_seconds = 120;
-  core::CoSimulation cosim(eb, cfg);
-  symex::Engine engine(eb, opts);
-  const auto report = engine.run(cosim.program());
+  symex::Engine engine(opts);
+  const auto report = engine.run(core::cosimFactory(cfg));
   return {report.error_paths > 0, report.totalPaths(), report.seconds};
 }
 

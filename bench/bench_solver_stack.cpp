@@ -64,7 +64,6 @@ ConfigRun runConfig(const std::string& spec) {
   obs::MetricsRegistry reg;
 
   {  // Free exploration.
-    expr::ExprBuilder eb;
     core::CosimConfig cfg = baseConfig();
     symex::EngineOptions opts;
     opts.stop_on_error = false;
@@ -72,12 +71,10 @@ ConfigRun runConfig(const std::string& spec) {
     opts.max_seconds = 120;
     opts.solver_opt = sopt;
     opts.metrics = &reg;
-    core::CoSimulation cosim(eb, cfg);
-    symex::Engine engine(eb, opts);
-    r.report = engine.run(cosim.program());
+    symex::Engine engine(opts);
+    r.report = engine.run(core::cosimFactory(cfg));
   }
   {  // E5 hunt (stop at the mismatch).
-    expr::ExprBuilder eb;
     core::CosimConfig cfg = baseConfig();
     fault::errorById("E5").apply(cfg);
     symex::EngineOptions opts;
@@ -86,9 +83,8 @@ ConfigRun runConfig(const std::string& spec) {
     opts.max_seconds = 60;
     opts.solver_opt = sopt;
     opts.metrics = &reg;
-    core::CoSimulation cosim(eb, cfg);
-    symex::Engine engine(eb, opts);
-    r.hunt = engine.run(cosim.program());
+    symex::Engine engine(opts);
+    r.hunt = engine.run(core::cosimFactory(cfg));
   }
 
   for (const symex::PathRecord& p : r.report.paths) r.solver_us += p.solver_us;

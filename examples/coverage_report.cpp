@@ -22,7 +22,6 @@ int main() {
 
   core::CoverageCollector final_cov;
   for (std::uint64_t budget : {25u, 50u, 100u, 200u, 400u, 800u}) {
-    expr::ExprBuilder eb;
     core::CosimConfig cfg;
     cfg.rtl = rtl::fixedRtlConfig();
     cfg.iss.csr = iss::CsrConfig::specCorrect();
@@ -31,9 +30,8 @@ int main() {
     symex::EngineOptions opts;
     opts.stop_on_error = false;
     opts.max_paths = budget;
-    core::CoSimulation cosim(eb, cfg);
-    symex::Engine engine(eb, opts);
-    const symex::EngineReport report = engine.run(cosim.program());
+    symex::Engine engine(opts);
+    const symex::EngineReport report = engine.run(core::cosimFactory(cfg));
 
     core::CoverageCollector cov;
     cov.addReport(report);

@@ -44,16 +44,14 @@ int main() {
   std::printf("phase 1: symbolic exploration of the authentic MicroRV32 "
               "model (test-vector generation)\n");
 
-  expr::ExprBuilder eb;
   core::CosimConfig cfg;  // authentic buggy RTL vs authentic VP ISS
   cfg.instr_limit = 1;
 
   symex::EngineOptions opts;
   opts.stop_on_error = false;
   opts.max_paths = 250;
-  core::CoSimulation cosim(eb, cfg);
-  symex::Engine engine(eb, opts);
-  const symex::EngineReport report = engine.run(cosim.program());
+  symex::Engine engine(opts);
+  const symex::EngineReport report = engine.run(core::cosimFactory(cfg));
 
   std::vector<const symex::PathRecord*> mismatches;
   for (const symex::PathRecord& p : report.paths)
@@ -77,9 +75,9 @@ int main() {
     replay_opts.stop_on_error = true;
     replay_opts.max_paths = 64;  // pinned inputs leave almost nothing to fork
     replay_opts.collect_test_vectors = false;
-    core::CoSimulation replay(eb, replay_cfg);
-    symex::Engine replay_engine(eb, replay_opts);
-    const symex::EngineReport rr = replay_engine.run(replay.program());
+    symex::Engine replay_engine(replay_opts);
+    const symex::EngineReport rr =
+        replay_engine.run(core::cosimFactory(replay_cfg));
 
     const bool ok = rr.error_paths > 0;
     reproduced += ok ? 1 : 0;

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 
 #include "obs/phase.hpp"
 
@@ -19,6 +20,13 @@ CoSimulation::CoSimulation(expr::ExprBuilder& eb, CosimConfig config)
     rtl_instr_us_ = &config_.metrics->histogram("cosim.rtl_instr_us");
     iss_step_us_ = &config_.metrics->histogram("cosim.iss_step_us");
   }
+}
+
+symex::ProgramFactory cosimFactory(CosimConfig config) {
+  return [config = std::move(config)](symex::WorkerContext& ctx) {
+    auto cosim = std::make_shared<CoSimulation>(ctx.builder, config);
+    return [cosim](ExecState& st) { cosim->runPath(st); };
+  };
 }
 
 std::string formatMismatchMessage(const Mismatch& m, std::uint32_t pc) {

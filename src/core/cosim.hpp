@@ -94,12 +94,8 @@ class CoSimulation {
   CoSimulation(expr::ExprBuilder& eb, CosimConfig config);
 
   /// One full co-simulation from reset — the engine's path program.
+  /// `st` must run on the builder this harness was built on.
   void runPath(symex::ExecState& st);
-
-  /// Engine-ready callable.
-  std::function<void(symex::ExecState&)> program() {
-    return [this](symex::ExecState& st) { runPath(st); };
-  }
 
   const CosimConfig& config() const { return config_; }
 
@@ -124,6 +120,10 @@ class CoSimulation {
   obs::Histogram* rtl_instr_us_ = nullptr;
   obs::Histogram* iss_step_us_ = nullptr;
 };
+
+/// The engine's program factory for `config`: one CoSimulation per
+/// worker, built on that worker's private builder.
+symex::ProgramFactory cosimFactory(CosimConfig config);
 
 /// Formats the voter-mismatch message so the classifier can recover the
 /// faulting PC ("voter mismatch [field] pc=XXXXXXXX: detail").

@@ -1,16 +1,15 @@
 #include "core/session.hpp"
 
 #include <iomanip>
-#include <memory>
 #include <sstream>
 
 #include "core/coverage.hpp"
 
 namespace rvsym::core {
 
-VerificationSession::VerificationSession(expr::ExprBuilder& eb,
+VerificationSession::VerificationSession(expr::ExprBuilder& /*eb*/,
                                          SessionOptions options)
-    : eb_(eb), options_(std::move(options)) {}
+    : options_(std::move(options)) {}
 
 SessionReport VerificationSession::run() {
   // Session-level observability defaults: tag every path with the
@@ -23,20 +22,8 @@ SessionReport VerificationSession::run() {
     options_.engine.heartbeat_annotator = coverageHeartbeat();
 
   SessionReport report;
-  if (options_.engine.jobs > 1) {
-    // Parallel exploration: one co-sim harness per worker, each built
-    // against the worker's private builder.
-    symex::ParallelEngine engine(options_.engine);
-    const CosimConfig& cfg = options_.cosim;
-    report.engine = engine.run([&cfg](symex::WorkerContext& ctx) {
-      auto cosim = std::make_shared<CoSimulation>(ctx.builder, cfg);
-      return [cosim](symex::ExecState& st) { cosim->runPath(st); };
-    });
-  } else {
-    CoSimulation cosim(eb_, options_.cosim);
-    symex::Engine engine(eb_, options_.engine);
-    report.engine = engine.run(cosim.program());
-  }
+  symex::Engine engine(options_.engine);
+  report.engine = engine.run(cosimFactory(options_.cosim));
   report.findings = classifyReport(report.engine);
   return report;
 }

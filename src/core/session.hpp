@@ -10,7 +10,6 @@
 #include "core/classify.hpp"
 #include "core/cosim.hpp"
 #include "symex/engine.hpp"
-#include "symex/parallel.hpp"
 
 namespace rvsym::core {
 
@@ -22,7 +21,7 @@ struct SessionOptions {
   /// CosimConfig hooks (instr_constraint, post_init_hook) are then
   /// invoked concurrently from multiple workers and must be
   /// re-entrant — the built-in scenario constraints all are.
-  symex::ParallelEngineOptions engine;
+  symex::EngineOptions engine;
 
   SessionOptions() {
     // Verification sweeps want every mismatch, not just the first.
@@ -37,6 +36,8 @@ struct SessionReport {
 
 class VerificationSession {
  public:
+  /// The engine builds every worker's co-simulation on a builder it owns,
+  /// so `eb` is not used; the parameter keeps existing callers compiling.
   VerificationSession(expr::ExprBuilder& eb, SessionOptions options);
 
   SessionReport run();
@@ -44,7 +45,6 @@ class VerificationSession {
   const SessionOptions& options() const { return options_; }
 
  private:
-  expr::ExprBuilder& eb_;
   SessionOptions options_;
 };
 

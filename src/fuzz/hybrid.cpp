@@ -2,7 +2,7 @@
 
 namespace rvsym::fuzz {
 
-HybridReport runHybrid(expr::ExprBuilder& eb, const core::CosimConfig& config,
+HybridReport runHybrid(const core::CosimConfig& config,
                        const HybridOptions& options) {
   HybridReport report;
 
@@ -18,9 +18,8 @@ HybridReport runHybrid(expr::ExprBuilder& eb, const core::CosimConfig& config,
   }
 
   // Phase 2: symbolic exploration.
-  core::CoSimulation cosim(eb, config);
-  symex::Engine engine(eb, options.symex);
-  const symex::EngineReport sr = engine.run(cosim.program());
+  symex::Engine engine(options.symex);
+  const symex::EngineReport sr = engine.run(core::cosimFactory(config));
   report.symex_seconds = sr.seconds;
   report.symex_paths = sr.totalPaths();
   if (sr.error_paths > 0) {

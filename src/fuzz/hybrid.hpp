@@ -41,7 +41,7 @@ struct HybridReport {
 
 /// Runs the two phases against `config` (which carries the DUT bugs /
 /// injected faults and scenario constraints).
-HybridReport runHybrid(expr::ExprBuilder& eb, const core::CosimConfig& config,
+HybridReport runHybrid(const core::CosimConfig& config,
                        const HybridOptions& options);
 
 }  // namespace rvsym::fuzz

@@ -65,7 +65,7 @@ symex::EngineReport runHunt(const Mutant& mutant,
   cfg.metrics = options.metrics;
   mutant.apply(cfg);
 
-  symex::ParallelEngineOptions opts;
+  symex::EngineOptions opts;
   opts.stop_on_error = true;  // a kill is the first voter mismatch
   opts.max_paths = options.max_paths_per_hunt;
   opts.max_seconds = options.max_seconds_per_hunt;
@@ -105,11 +105,8 @@ symex::EngineReport runHunt(const Mutant& mutant,
     else std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
   }
 
-  symex::ParallelEngine engine(opts);
-  return engine.run([&cfg](symex::WorkerContext& ctx) {
-    auto cosim = std::make_shared<core::CoSimulation>(ctx.builder, cfg);
-    return [cosim](symex::ExecState& st) { cosim->runPath(st); };
-  });
+  symex::Engine engine(opts);
+  return engine.run(core::cosimFactory(std::move(cfg)));
 }
 
 }  // namespace

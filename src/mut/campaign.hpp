@@ -13,7 +13,7 @@
 //
 // Determinism: mutants are judged concurrently (options.jobs) but
 // committed in enumeration order, and each per-mutant hunt is a
-// deterministic ParallelEngine run, so verdicts, kill limits and kill
+// deterministic symex::Engine run, so verdicts, kill limits and kill
 // test vectors are byte-identical across campaign worker counts. The
 // shared cross-path query cache spans the whole campaign (mutants
 // replay near-identical decode cascades, so verdict reuse is high);
@@ -27,7 +27,7 @@
 
 #include "core/cosim.hpp"
 #include "mut/space.hpp"
-#include "symex/parallel.hpp"
+#include "symex/engine.hpp"
 
 namespace rvsym::mut {
 

@@ -144,7 +144,7 @@ class PathTree {
   /// Query-cache traffic summed per executing worker ({hits, misses}
   /// pairs keyed by qc_worker). Only committed paths contribute — the
   /// per-worker sums therefore add up to the run_end qc_hits/qc_misses
-  /// totals, which count committed outcomes (parallel.cpp).
+  /// totals, which count committed outcomes (symex/engine.cpp).
   std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>>
   qcacheByWorker() const;
 

@@ -294,10 +294,8 @@ bool writeMismatchBundle(const std::string& dir, const BundleDescriptor& desc,
   core::CosimConfig cfg;
   if (!buildReplayConfig(desc, test, cfg)) return false;
 
-  expr::ExprBuilder eb;
-  core::CoSimulation probe(eb, cfg);
-  symex::Engine engine(eb, replayEngineOptions());
-  const symex::EngineReport report = engine.run(probe.program());
+  symex::Engine engine(replayEngineOptions());
+  const symex::EngineReport report = engine.run(core::cosimFactory(cfg));
   const symex::PathRecord* err = report.firstError();
   if (err == nullptr) return false;  // vector does not reproduce
 
@@ -322,6 +320,7 @@ bool writeMismatchBundle(const std::string& dir, const BundleDescriptor& desc,
     retirements.emplace_back(rtl_info, iss_info);
   };
 
+  expr::ExprBuilder eb;
   core::CoSimulation recorder(eb, cfg);
   symex::ExecState st(eb, err->decisions, symex::ExecState::Limits{});
   try {
@@ -385,10 +384,9 @@ std::optional<ReplayResult> replayBundle(const std::string& dir) {
   core::CosimConfig cfg;
   if (!buildReplayConfig(*desc, *test, cfg)) return std::nullopt;
 
-  expr::ExprBuilder eb;
-  core::CoSimulation cosim(eb, cfg);
-  symex::Engine engine(eb, replayEngineOptions());
-  const symex::EngineReport report = engine.run(cosim.program());
+  symex::Engine engine(replayEngineOptions());
+  const symex::EngineReport report =
+      engine.run(core::cosimFactory(std::move(cfg)));
 
   ReplayResult result;
   std::uint32_t recorded_pc = 0;

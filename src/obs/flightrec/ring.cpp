@@ -1,5 +1,6 @@
 #include "obs/flightrec/ring.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
@@ -96,8 +97,11 @@ void ThreadRing::emit(EventKind kind, std::uint64_t a, std::uint64_t b,
   const std::uint64_t s = seq_.fetch_add(1, std::memory_order_relaxed);
   detail::Slot& sl = slots_[s & mask_];
   // Invalidate first so a concurrent reader never pairs the new payload
-  // with the previous lap's index.
-  sl.index.store(0, std::memory_order_release);
+  // with the previous lap's index. The fence keeps the relaxed payload
+  // stores below from becoming visible before the invalidation (the
+  // seqlock writer's store-store barrier; free on x86-TSO, not on ARM).
+  sl.index.store(0, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
   sl.t_us.store(now_us, std::memory_order_relaxed);
   sl.a.store(a, std::memory_order_relaxed);
   sl.b.store(b, std::memory_order_relaxed);
@@ -119,30 +123,42 @@ void ThreadRing::emit(EventKind kind, std::uint64_t a, std::uint64_t b,
 }
 
 std::size_t ThreadRing::snapshot(Event* out, std::size_t max) const {
+  // Returns the contiguous run of valid slots that ends at the newest
+  // valid one, oldest first. Scanning back from the newest index, slots
+  // the writer has claimed but not yet published are skipped; after the
+  // first valid slot, the first invalid (lapped or torn) one ends the
+  // run, so the result never has a gap in its indices.
   const std::uint64_t end = seq_.load(std::memory_order_acquire);
   const std::uint64_t cap = slots_.size();
-  std::uint64_t begin = end > cap ? end - cap : 0;
-  if (end - begin > max) begin = end - max;
+  const std::uint64_t begin = end > cap ? end - cap : 0;
   std::size_t n = 0;
-  for (std::uint64_t i = begin; i < end && n < max; ++i) {
-    const detail::Slot& sl = slots_[i & mask_];
-    if (sl.index.load(std::memory_order_acquire) != i + 1) continue;
+  for (std::uint64_t i = end; i > begin && n < max; --i) {
+    const std::uint64_t idx = i - 1;
+    const detail::Slot& sl = slots_[idx & mask_];
+    bool valid = sl.index.load(std::memory_order_acquire) == idx + 1;
     Event e;
-    e.index = i;
-    e.t_us = sl.t_us.load(std::memory_order_relaxed);
-    e.a = sl.a.load(std::memory_order_relaxed);
-    e.b = sl.b.load(std::memory_order_relaxed);
-    e.c = sl.c.load(std::memory_order_relaxed);
-    e.kind = static_cast<EventKind>(sl.kind.load(std::memory_order_relaxed));
-    const std::uint64_t lo = sl.tag_lo.load(std::memory_order_relaxed);
-    const std::uint64_t hi = sl.tag_hi.load(std::memory_order_relaxed);
-    std::memcpy(e.tag, &lo, 8);
-    std::memcpy(e.tag + 8, &hi, 8);
-    e.tag[kTagBytes] = '\0';
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (sl.index.load(std::memory_order_relaxed) != i + 1) continue;  // lapped
+    if (valid) {
+      e.index = idx;
+      e.t_us = sl.t_us.load(std::memory_order_relaxed);
+      e.a = sl.a.load(std::memory_order_relaxed);
+      e.b = sl.b.load(std::memory_order_relaxed);
+      e.c = sl.c.load(std::memory_order_relaxed);
+      e.kind = static_cast<EventKind>(sl.kind.load(std::memory_order_relaxed));
+      const std::uint64_t lo = sl.tag_lo.load(std::memory_order_relaxed);
+      const std::uint64_t hi = sl.tag_hi.load(std::memory_order_relaxed);
+      std::memcpy(e.tag, &lo, 8);
+      std::memcpy(e.tag + 8, &hi, 8);
+      e.tag[kTagBytes] = '\0';
+      std::atomic_thread_fence(std::memory_order_acquire);
+      valid = sl.index.load(std::memory_order_relaxed) == idx + 1;  // lapped?
+    }
+    if (!valid) {
+      if (n > 0) break;
+      continue;
+    }
     out[n++] = e;
   }
+  std::reverse(out, out + n);
   return n;
 }
 

@@ -136,9 +136,11 @@ class ThreadRing {
   std::uint64_t seq() const { return seq_.load(std::memory_order_acquire); }
   std::size_t capacity() const { return slots_.size(); }
 
-  /// Snapshots the live window (oldest first) into `out`, dropping any
-  /// slot the writer lapped mid-read. Returns the count. Safe from a
-  /// signal handler and concurrently with emit().
+  /// Snapshots the newest `max` events of the live window (oldest first)
+  /// into `out`: the contiguous run of indices that ends at the newest
+  /// published event and stops before the first slot the writer lapped
+  /// mid-read. Returns the count. Safe from a signal handler and
+  /// concurrently with emit().
   std::size_t snapshot(Event* out, std::size_t max) const;
 
   /// Watchdog bookkeeping: a thread is a stall candidate while busy and

@@ -29,7 +29,7 @@ namespace rvsym::obs {
 struct HeartbeatSnapshot {
   double elapsed_s = 0;
 
-  // --- Path exploration (the engines) -----------------------------------
+  // --- Path exploration (the engine) -----------------------------------
   bool has_paths = false;
   std::uint64_t paths_done = 0;       ///< committed paths (totals - unexplored)
   std::uint64_t paths_completed = 0;
@@ -80,7 +80,7 @@ struct HeartbeatSnapshot {
   void readRegistry(MetricsRegistry& registry);
 
   /// Fills the paths / campaign sections from the engine.* and
-  /// campaign.* instruments the engines and the campaign runner keep
+  /// campaign.* instruments the engine and the campaign runner keep
   /// updated (timeseries samplers run on their own thread, so registry
   /// counters are their only race-free view of progress). Sections stay
   /// disabled when their instruments were never touched.

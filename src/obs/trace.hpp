@@ -1,4 +1,4 @@
-// Structured JSONL event tracing for the path exploration engines.
+// Structured JSONL event tracing for the path exploration engine.
 //
 // One trace line per event, one JSON object per line:
 //
@@ -69,7 +69,7 @@ struct TraceEvent {
 };
 
 /// Event consumer. Implementations must tolerate concurrent emit()
-/// calls (the engines funnel lifecycle events through the committer,
+/// calls (the engine funnels lifecycle events through the committer,
 /// but heartbeats and ad-hoc callers may race).
 class TraceSink {
  public:

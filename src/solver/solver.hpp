@@ -114,7 +114,7 @@ class PathSolver {
 
   /// Accumulates stats().solve_us across SAT solves (one clock pair per
   /// solve). Off by default so untimed hot paths never read the clock;
-  /// the engines switch it on when a trace sink wants per-path
+  /// the engine switches it on when a trace sink wants per-path
   /// solver-time attribution.
   void enableTiming(bool on) { timing_ = timing_ || on; }
 

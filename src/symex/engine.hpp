@@ -6,13 +6,43 @@
 // EngineReport whose counters mirror the numbers the paper reports from
 // KLEE: completed paths, partial paths, executed instructions, wall time,
 // and generated test vectors.
+//
+// Paths run under *speculative execution with ordered commit*:
+//
+//  * `jobs` workers, each owning a private ExprBuilder / PathSolver / DUT
+//    harness (the program is a factory: it is instantiated once per
+//    worker against the worker's builder);
+//  * a shared worklist of decision prefixes. Workers claim prefixes the
+//    committer has not popped yet (DFS workers steal from the back, BFS
+//    from the front) and execute them speculatively;
+//  * a single committer (the caller's thread, which doubles as worker
+//    0) pops prefixes in searcher order, commits finished results in
+//    that order — pushing newly discovered forks, aggregating counters
+//    and enforcing the path / instruction / time budgets — and executes
+//    any popped prefix no worker has claimed yet. At jobs 1 it is the
+//    only worker, and exploration is plain sequential DFS/BFS/Random.
+//
+// Because a path's outcome is a pure function of its decision prefix
+// (canonical solver models, builder-independent expressions), a
+// speculatively executed path commits the same result the committer
+// would have produced — so the report is byte-identical for any worker
+// count, except for the timing-dependent fields listed at EngineReport.
+// In an exhaustive run every worklist entry is eventually committed, so
+// speculation wastes no work; under stop-on-error or a budget, at most
+// `jobs` in-flight paths are discarded.
+//
+// The cross-path query cache (solver/querycache.hpp) is shared by all
+// workers: fork-feasibility verdicts are keyed by a canonical structural
+// hash of (constraint set, assumption). Verdicts are semantic facts —
+// hits change which solve calls run, never their answers — so
+// determinism is unaffected. Both solver caches are disabled when a
+// solver conflict budget is set (a budgeted Unknown is not a semantic
+// fact).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "expr/builder.hpp"
@@ -53,6 +83,25 @@ struct EngineOptions {
   /// Keep at most this many non-error path records in the report
   /// (counters are exact regardless). 0 = keep all.
   std::uint64_t max_stored_paths = 0;
+  /// Worker count (committer included). 1 = exploration on the calling
+  /// thread alone.
+  unsigned jobs = 1;
+  /// Externally owned cache shared beyond this run (the mutation
+  /// campaign hands one cache to every per-mutant engine). Verdicts are
+  /// semantic facts keyed by canonical structural hashes, so reuse
+  /// across runs changes which solves execute, never their answers.
+  /// When set it replaces the run-private cache, and report.qcache_*
+  /// counts this run's committed traffic only — summed from the per-path
+  /// counters each worker's solver observed, so concurrent runs sharing
+  /// the cache never leak their lookups into each other's reports.
+  solver::QueryCache* shared_cache = nullptr;
+  /// Externally owned counterexample/subsumption cache shared beyond
+  /// this run (the mutation campaign spans one across every hunt —
+  /// mutants replay near-identical decode cascades, so model and core
+  /// reuse is high). Same soundness argument as shared_cache. When null
+  /// and solver_opt.cex_cache is on, the run owns a private store shared
+  /// across its workers.
+  solver::CexCache* shared_cex_cache = nullptr;
 
   // --- Observability (all optional; the engine owns none of them) ---------
   /// Structured JSONL event sink for the path lifecycle (see obs/trace.hpp
@@ -106,9 +155,8 @@ struct PathRecord {
 
 // Determinism contract, field by field. For a fixed workload and
 // EngineOptions, every field below is byte-identical across worker
-// counts (--jobs N), schedules and query-cache states — the speculative
-// parallel engine commits in sequential order and solver models are
-// canonical — EXCEPT:
+// counts (--jobs N), schedules and query-cache states — the engine
+// commits in searcher order and solver models are canonical — EXCEPT:
 //   * `seconds`           — wall clock;
 //   * `qcache_hits`,
 //     `qcache_misses`     — which worker wins the race to solve a query
@@ -136,9 +184,10 @@ struct EngineReport {
   std::uint64_t knownbits_decided = 0;
   std::uint64_t solver_decided = 0;
   std::uint64_t solver_checks = 0;
-  /// Cross-path query-cache traffic (ParallelEngine only; totals include
-  /// speculatively executed paths, so — like `seconds` — they are exact
-  /// but timing-dependent, unlike every other counter here).
+  /// Cross-path query-cache traffic (0 when a solver conflict budget
+  /// disables the cache; totals include speculatively executed paths,
+  /// so — like `seconds` — they are exact but timing-dependent, unlike
+  /// every other counter here).
   std::uint64_t qcache_hits = 0;
   std::uint64_t qcache_misses = 0;
   bool stopped_early = false;
@@ -163,128 +212,39 @@ struct EngineReport {
 /// contract above) are grouped under a "timing" sub-object.
 std::string reportToJson(const EngineReport& report);
 
-namespace detail {
-
-/// Lower-case searcher name for trace events ("dfs" / "bfs" / "random").
-const char* searcherName(EngineOptions::Searcher s);
-
-/// One stderr progress line; shared by both engines' heartbeats.
-/// Delegates to obs::formatHeartbeatLine — the single formatter the
-/// campaign runner and the timeseries sampler also use — after filling a
-/// HeartbeatSnapshot from the committed report. `extra` (annotator
-/// output, query-cache hit rate) is appended verbatim; with a metrics
-/// registry the snapshot gains the live solver section (qps, latency
-/// percentiles, disposition split).
-void emitHeartbeat(const EngineReport& report, double elapsed_s,
-                   std::size_t worklist_depth, const std::string& extra,
-                   obs::MetricsRegistry* metrics = nullptr);
-
-/// Pre-resolved registry instruments both engines bump at commit time —
-/// the race-free live-progress surface the timeseries sampler and any
-/// other registry reader observe (obs/heartbeat.hpp readProgress).
-/// Commit order is deterministic, so the final counter values are
-/// byte-identical across --jobs; only the instants they move are
-/// timing-dependent. All members stay null without a registry, making
-/// every call a no-op.
-struct ProgressInstruments {
-  ProgressInstruments() = default;
-  /// Resolves engine.paths_* / engine.instructions / the
-  /// engine.worklist_depth gauge, plus one engine.worker<N>.committed
-  /// counter per worker for execution attribution.
-  explicit ProgressInstruments(obs::MetricsRegistry* registry,
-                               unsigned workers = 1);
-
-  /// Bumps the outcome counters for one committed path; `worker` is the
-  /// index that executed (not committed) it.
-  void commit(const PathRecord& record, unsigned worker = 0);
-  /// Mirrors the live worklist depth into the gauge (value + max).
-  void depth(std::size_t n);
-
-  obs::Counter* committed = nullptr;
-  obs::Counter* completed = nullptr;
-  obs::Counter* error = nullptr;
-  obs::Counter* partial = nullptr;
-  obs::Counter* instructions = nullptr;
-  obs::Gauge* worklist = nullptr;
-  std::vector<obs::Counter*> per_worker;
+/// Per-worker execution context handed to the program factory.
+struct WorkerContext {
+  unsigned worker_id = 0;      ///< 0 = the committer thread
+  expr::ExprBuilder& builder;  ///< worker-private; build the DUT against it
 };
 
-/// Merges the program's ExecState tags with the options tagger's output
-/// into record.tags, sorted and deduplicated (the deterministic tag
-/// contract of the path_end event).
-void finalizeRecordTags(PathRecord& record,
-                        const std::vector<std::string>& state_tags,
-                        const EngineOptions& options);
+using PathProgram = std::function<void(ExecState&)>;
 
-/// Builds the path_end trace event shared by both engines: lifecycle
-/// counters, deterministic enrichment (`tags`, serialized `test`) and
-/// the timing-dependent attribution fields (`t_solver_us`, one
-/// `t_<key>_us` per ExecState time accumulator).
-obs::TraceEvent makePathEndEvent(
-    std::uint64_t path_id, const PathRecord& record, std::uint64_t forks,
-    std::uint64_t solver_checks,
-    const std::vector<std::pair<std::string, std::uint64_t>>& times);
-
-/// Pops the next worklist item under the searcher policy. Shared by
-/// Engine and ParallelEngine so both commit paths in the identical,
-/// deterministic order. Random removal is O(1): swap the chosen item
-/// with the back and pop (still a fixed permutation for a fixed seed).
-template <typename Deque>
-typename Deque::value_type popNextItem(Deque& worklist,
-                                       EngineOptions::Searcher searcher,
-                                       std::uint32_t& rng_state) {
-  typename Deque::value_type item;
-  switch (searcher) {
-    case EngineOptions::Searcher::Dfs:
-      item = std::move(worklist.back());
-      worklist.pop_back();
-      break;
-    case EngineOptions::Searcher::Bfs:
-      item = std::move(worklist.front());
-      worklist.pop_front();
-      break;
-    case EngineOptions::Searcher::Random: {
-      // xorshift32; deterministic for a fixed seed.
-      rng_state ^= rng_state << 13;
-      rng_state ^= rng_state >> 17;
-      rng_state ^= rng_state << 5;
-      const std::size_t i = rng_state % worklist.size();
-      if (i != worklist.size() - 1) std::swap(worklist[i], worklist.back());
-      item = std::move(worklist.back());
-      worklist.pop_back();
-      break;
-    }
-  }
-  return item;
-}
-
-}  // namespace detail
+/// Instantiates one worker's path program (ISS + RTL co-sim harness,
+/// synthetic test program, ...). Called once per worker, against the
+/// worker's private builder, before exploration starts. The returned
+/// callable runs one path and must depend only on the prefix replayed
+/// through ExecState (any state it touches must be per-worker).
+using ProgramFactory = std::function<PathProgram(WorkerContext&)>;
 
 class Engine {
  public:
-  Engine(expr::ExprBuilder& eb, EngineOptions options);
+  explicit Engine(EngineOptions options);
 
-  /// Runs `program` on every path. The callable may throw PathTerminated
-  /// (via ExecState helpers); any other exception propagates.
-  EngineReport run(const std::function<void(ExecState&)>& program);
+  /// Explores every path of the per-worker programs built by `factory`.
+  /// The callable may throw PathTerminated (via ExecState helpers); any
+  /// other exception is re-thrown on the calling thread.
+  EngineReport run(const ProgramFactory& factory);
+
+  /// Convenience wrapper for programs without per-worker state: every
+  /// worker shares the same callable (it must then be thread-safe when
+  /// jobs > 1, and build only on ExecState::builder()).
+  EngineReport run(const PathProgram& program);
 
   const EngineOptions& options() const { return options_; }
 
  private:
-  /// One scheduled path: a decision prefix plus its stable trace id
-  /// (assigned in discovery order; the root path is 0). The id stream is
-  /// deterministic because forks are pushed in commit order.
-  struct WorkItem {
-    std::uint64_t id = 0;
-    std::vector<bool> prefix;
-  };
-
-  WorkItem popNext();
-
-  expr::ExprBuilder& eb_;
   EngineOptions options_;
-  std::deque<WorkItem> worklist_;
-  std::uint32_t rng_state_ = 0;
 };
 
 }  // namespace rvsym::symex

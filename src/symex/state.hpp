@@ -96,10 +96,10 @@ class ExecState {
     solver::SolverTelemetry* telemetry = nullptr;
     /// Optional phase profiler (shared, thread-safe): the solver nests a
     /// "solver" phase, the co-simulation "rtl"/"iss"/"voter", the
-    /// engines wrap each path in "path".
+    /// engine wraps each path in "path".
     obs::PhaseProfiler* profiler = nullptr;
     /// Buffer path-local trace events (see traceEvent below). Set by the
-    /// engines iff a trace sink is configured.
+    /// engine iff a trace sink is configured.
     bool trace_path_events = false;
     /// Optional shared counterexample/subsumption cache (thread-safe).
     /// Needs query_hasher (or the solver's private hasher) for canonical

@@ -49,12 +49,11 @@ CosimConfig compatibleConfig() {
   return cfg;
 }
 
-symex::EngineReport explore(ExprBuilder& eb, const CosimConfig& cfg,
+symex::EngineReport explore(const CosimConfig& cfg,
                             symex::EngineOptions opts = {}) {
   opts.stop_on_error = false;
-  CoSimulation cosim(eb, cfg);
-  symex::Engine engine(eb, opts);
-  return engine.run(cosim.program());
+  symex::Engine engine(opts);
+  return engine.run(cosimFactory(cfg));
 }
 
 // --- Symbolic memory units ---------------------------------------------------------
@@ -121,7 +120,6 @@ TEST(SymbolicDataMemory, LittleEndianWordAssembly) {
 // --- Lockstep soundness: no false mismatches ------------------------------------------
 
 TEST(Lockstep, PinnedAluProgramAgrees) {
-  ExprBuilder eb;
   CosimConfig cfg = compatibleConfig();
   cfg.instr_limit = 3;
   cfg.instr_constraint = pinnedProgram({
@@ -129,7 +127,7 @@ TEST(Lockstep, PinnedAluProgramAgrees) {
       enc::slli(2, 1, 4),
       enc::sub(3, 2, 1),
   });
-  const auto report = explore(eb, cfg);
+  const auto report = explore(cfg);
   EXPECT_EQ(report.error_paths, 0u);
   EXPECT_GE(report.completed_paths, 1u);
 }
@@ -137,12 +135,11 @@ TEST(Lockstep, PinnedAluProgramAgrees) {
 TEST(Lockstep, SymbolicRegistersStillAgree) {
   // With symbolic register content the agreement must hold for ALL
   // values — a much stronger check than any concrete run.
-  ExprBuilder eb;
   CosimConfig cfg = compatibleConfig();
   cfg.instr_limit = 1;
   cfg.num_symbolic_regs = 2;
   cfg.instr_constraint = pinnedProgram({enc::add(3, 1, 2)});
-  const auto report = explore(eb, cfg);
+  const auto report = explore(cfg);
   EXPECT_EQ(report.error_paths, 0u);
 }
 
@@ -153,7 +150,6 @@ TEST_P(LockstepRandomInstr, FixedPairNeverMismatches) {
   // executed over fully symbolic x1/x2 and symbolic memory.
   std::mt19937 rng(static_cast<unsigned>(GetParam()) * 7919 + 13);
   for (int round = 0; round < 6; ++round) {
-    ExprBuilder eb;
     std::uint32_t word = rng();
     // Bias half the rounds towards valid encodings.
     if (round % 2 == 0) {
@@ -164,7 +160,7 @@ TEST_P(LockstepRandomInstr, FixedPairNeverMismatches) {
     CosimConfig cfg = compatibleConfig();
     cfg.instr_limit = 1;
     cfg.instr_constraint = pinnedProgram({word});
-    const auto report = explore(eb, cfg);
+    const auto report = explore(cfg);
     EXPECT_EQ(report.error_paths, 0u)
         << "false mismatch for " << disassemble(word) << " (0x" << std::hex
         << word << ")";
@@ -177,12 +173,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LockstepRandomInstr, ::testing::Range(0, 5));
 TEST(Lockstep, FreeExplorationOfFixedPairIsClean) {
   // Unconstrained symbolic instruction on the fixed pair: every explored
   // path must agree (bounded sweep).
-  ExprBuilder eb;
   CosimConfig cfg = compatibleConfig();
   cfg.instr_limit = 1;
   symex::EngineOptions opts;
   opts.max_paths = 150;
-  const auto report = explore(eb, cfg, opts);
+  const auto report = explore(cfg, opts);
   EXPECT_EQ(report.error_paths, 0u);
   EXPECT_GE(report.completed_paths, 50u);
 }
@@ -190,13 +185,12 @@ TEST(Lockstep, FreeExplorationOfFixedPairIsClean) {
 // --- Authentic-bug detection -----------------------------------------------------------
 
 TEST(Detection, MisalignedLoadMismatch) {
-  ExprBuilder eb;
   CosimConfig cfg;  // authentic RTL + authentic ISS
   cfg.instr_limit = 1;
   cfg.instr_constraint = CoSimulation::onlyMajorOpcode(0x03);  // loads
   symex::EngineOptions opts;
   opts.max_paths = 200;
-  const auto report = explore(eb, cfg, opts);
+  const auto report = explore(cfg, opts);
   EXPECT_GT(report.error_paths, 0u);
   const auto findings = classifyReport(report);
   bool found_alignment = false;
@@ -206,11 +200,10 @@ TEST(Detection, MisalignedLoadMismatch) {
 }
 
 TEST(Detection, WfiMismatch) {
-  ExprBuilder eb;
   CosimConfig cfg;
   cfg.instr_limit = 1;
   cfg.instr_constraint = pinnedProgram({enc::wfi()});
-  const auto report = explore(eb, cfg);
+  const auto report = explore(cfg);
   ASSERT_GT(report.error_paths, 0u);
   const auto findings = classifyReport(report);
   ASSERT_EQ(findings.size(), 1u);
@@ -219,11 +212,10 @@ TEST(Detection, WfiMismatch) {
 }
 
 TEST(Detection, VpDelegationReadBug) {
-  ExprBuilder eb;
   CosimConfig cfg;
   cfg.instr_limit = 1;
   cfg.instr_constraint = pinnedProgram({enc::csrrw(1, csr::kMedeleg, 0)});
-  const auto report = explore(eb, cfg);
+  const auto report = explore(cfg);
   ASSERT_GT(report.error_paths, 0u);
   const auto findings = classifyReport(report);
   ASSERT_EQ(findings.size(), 1u);
@@ -233,14 +225,13 @@ TEST(Detection, VpDelegationReadBug) {
 TEST(Detection, MscratchNeedsTwoInstructions) {
   // Writing mscratch is silently ignored by the RTL core; the divergence
   // becomes observable only at the read-back — instruction limit 2.
-  ExprBuilder eb;
   CosimConfig cfg;
   cfg.instr_limit = 2;
   cfg.instr_constraint = pinnedProgram({
       enc::csrrw(0, csr::kMscratch, 1),   // write symbolic x1
       enc::csrrs(2, csr::kMscratch, 0),   // read back
   });
-  const auto report = explore(eb, cfg);
+  const auto report = explore(cfg);
   ASSERT_GT(report.error_paths, 0u);
   const auto findings = classifyReport(report);
   ASSERT_GE(findings.size(), 1u);
@@ -248,22 +239,20 @@ TEST(Detection, MscratchNeedsTwoInstructions) {
   EXPECT_EQ(findings[0].description, "unimpl. Privileged CSR");
 
   // At instruction limit 1 the same write is NOT observable.
-  ExprBuilder eb2;
   CosimConfig cfg1 = cfg;
   cfg1.instr_limit = 1;
   cfg1.instr_constraint = pinnedProgram({enc::csrrw(0, csr::kMscratch, 1)});
-  const auto report1 = explore(eb2, cfg1);
+  const auto report1 = explore(cfg1);
   EXPECT_EQ(report1.error_paths, 0u);
 }
 
 TEST(Detection, ErrorPathProvidesConcreteReproducer) {
-  ExprBuilder eb;
   CosimConfig cfg;
   cfg.instr_limit = 1;
   cfg.instr_constraint = CoSimulation::onlyMajorOpcode(0x23);  // stores
   symex::EngineOptions opts;
   opts.max_paths = 120;
-  const auto report = explore(eb, cfg, opts);
+  const auto report = explore(cfg, opts);
   ASSERT_GT(report.error_paths, 0u);
   const symex::PathRecord* err = report.firstError();
   ASSERT_NE(err, nullptr);
@@ -283,12 +272,11 @@ TEST(SlicedRegisters, SliceSizeControlsStateSpace) {
   std::uint64_t paths_by_slice[2] = {0, 0};
   const unsigned slices[2] = {0, 2};
   for (int i = 0; i < 2; ++i) {
-    ExprBuilder eb;
     CosimConfig cfg = compatibleConfig();
     cfg.instr_limit = 1;
     cfg.num_symbolic_regs = slices[i];
     cfg.instr_constraint = pinnedProgram({enc::beq(1, 2, 8)});
-    const auto report = explore(eb, cfg);
+    const auto report = explore(cfg);
     paths_by_slice[i] = report.totalPaths();
   }
   // With concrete (zero) registers BEQ x1,x2 is decided; with symbolic
@@ -297,34 +285,31 @@ TEST(SlicedRegisters, SliceSizeControlsStateSpace) {
 }
 
 TEST(SlicedRegisters, X0NeverSymbolic) {
-  ExprBuilder eb;
   CosimConfig cfg = compatibleConfig();
   cfg.instr_limit = 1;
   cfg.num_symbolic_regs = 31;  // even a full slice must leave x0 alone
   cfg.instr_constraint = pinnedProgram({enc::add(3, 0, 0)});
-  const auto report = explore(eb, cfg);
+  const auto report = explore(cfg);
   EXPECT_EQ(report.error_paths, 0u);
 }
 
 // --- Execution controller ---------------------------------------------------------------------
 
 TEST(ExecutionController, InstructionLimitBoundsPathLength) {
-  ExprBuilder eb;
   CosimConfig cfg = compatibleConfig();
   cfg.instr_limit = 2;
   cfg.instr_constraint = pinnedProgram({enc::nop(), enc::nop(), enc::nop()});
-  const auto report = explore(eb, cfg);
+  const auto report = explore(cfg);
   ASSERT_EQ(report.completed_paths, 1u);
   EXPECT_EQ(report.paths[0].instructions, 2u);
 }
 
 TEST(ExecutionController, CycleLimitTerminatesPath) {
-  ExprBuilder eb;
   CosimConfig cfg = compatibleConfig();
   cfg.instr_limit = 100;
   cfg.cycle_limit = 10;  // too few cycles to retire 100 instructions
   cfg.instr_constraint = pinnedProgram({enc::nop()});
-  const auto report = explore(eb, cfg);
+  const auto report = explore(cfg);
   EXPECT_EQ(report.completed_paths, 1u);
   EXPECT_LT(report.paths[0].instructions, 5u);
 }
@@ -333,13 +318,12 @@ TEST(ExecutionController, CycleLimitTerminatesPath) {
 
 TEST(BusWaitStates, LockstepHoldsUnderSlowBuses) {
   for (unsigned waits : {1u, 3u}) {
-    ExprBuilder eb;
     CosimConfig cfg = compatibleConfig();
     cfg.instr_limit = 2;
     cfg.bus_wait_states = waits;
     symex::EngineOptions opts;
     opts.max_paths = 120;
-    const auto report = explore(eb, cfg, opts);
+    const auto report = explore(cfg, opts);
     EXPECT_EQ(report.error_paths, 0u) << waits << " wait states";
     EXPECT_GE(report.completed_paths, 20u);
   }
@@ -349,7 +333,6 @@ TEST(BusWaitStates, StretchCyclesNotSemantics) {
   // The same pinned program must retire identical results with and
   // without wait states; only the cycle budget differs.
   for (unsigned waits : {0u, 2u}) {
-    ExprBuilder eb;
     CosimConfig cfg = compatibleConfig();
     cfg.instr_limit = 3;
     cfg.bus_wait_states = waits;
@@ -358,7 +341,7 @@ TEST(BusWaitStates, StretchCyclesNotSemantics) {
         enc::sw(1, 0, 0x100),
         enc::lw(2, 0, 0x100),
     });
-    const auto report = explore(eb, cfg);
+    const auto report = explore(cfg);
     EXPECT_EQ(report.error_paths, 0u) << waits;
     ASSERT_GE(report.completed_paths, 1u);
     EXPECT_EQ(report.paths[0].instructions, 3u) << waits;
@@ -366,7 +349,6 @@ TEST(BusWaitStates, StretchCyclesNotSemantics) {
 }
 
 TEST(BusWaitStates, FaultsStillFoundOnSlowBuses) {
-  ExprBuilder eb;
   CosimConfig cfg = compatibleConfig();
   cfg.instr_limit = 1;
   cfg.bus_wait_states = 2;
@@ -376,7 +358,7 @@ TEST(BusWaitStates, FaultsStillFoundOnSlowBuses) {
       {rv32::Opcode::Lb, rtl::MemFaultKind::SignFlip});  // E8
   symex::EngineOptions opts;
   opts.max_paths = 400;
-  const auto report = explore(eb, buggy, opts);
+  const auto report = explore(buggy, opts);
   EXPECT_GT(report.error_paths, 0u);
 }
 

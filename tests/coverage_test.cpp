@@ -160,15 +160,13 @@ TEST(Coverage, JsonMapShape) {
 TEST(Coverage, SymbolicExplorationBuildsHighCoverage) {
   // The paper's claim: the generated test set has high coverage. A free
   // exploration of a few hundred paths must cover most opcodes.
-  expr::ExprBuilder eb;
   core::CosimConfig cfg;
   cfg.instr_limit = 1;
   symex::EngineOptions opts;
   opts.stop_on_error = false;
   opts.max_paths = 500;
-  core::CoSimulation cosim(eb, cfg);
-  symex::Engine engine(eb, opts);
-  const symex::EngineReport report = engine.run(cosim.program());
+  symex::Engine engine(opts);
+  const symex::EngineReport report = engine.run(core::cosimFactory(cfg));
 
   core::CoverageCollector cov;
   cov.addReport(report);

@@ -192,14 +192,13 @@ TEST_F(CsrFixture, ResolveConstantAddress) {
 TEST_F(CsrFixture, ResolveEnumeratesImplementedSet) {
   // Symbolic address: DFS over resolve() must reach every implemented
   // single CSR plus the three ranges plus the unimplemented bucket.
-  ExprBuilder local;
   symex::EngineOptions opts;
   opts.stop_on_error = false;
-  symex::Engine engine(local, opts);
+  symex::Engine engine(opts);
   std::set<std::uint16_t> seen;
   std::uint64_t unimpl = 0;
   const auto report = engine.run([&](symex::ExecState& s) {
-    CsrFile f(local, CsrConfig::specCorrect());
+    CsrFile f(s.builder(), CsrConfig::specCorrect());
     const ExprRef addr = s.makeSymbolic("csr_addr", 12);
     const std::uint16_t r = f.resolve(s, addr);
     if (r == CsrFile::kUnimplemented)

@@ -1,20 +1,20 @@
-// Tests for the parallel exploration engine and the cross-path query
-// cache: jobs=1 must reproduce the sequential engine byte-for-byte,
-// jobs=N must reproduce jobs=1 (speculative execution under ordered
-// commit), workers must get private builders, and a cached verdict must
-// always equal what a fresh solver derives.
+// Tests for parallel exploration and the cross-path query cache: jobs=1
+// and jobs=N must reproduce the pinned sequential reference
+// byte-for-byte (speculative execution under ordered commit), workers
+// must get private builders, and a cached verdict must always equal what
+// a fresh solver derives.
 #include <gtest/gtest.h>
 
 #include <mutex>
 #include <random>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "expr/builder.hpp"
 #include "solver/querycache.hpp"
 #include "solver/solver.hpp"
 #include "symex/engine.hpp"
-#include "symex/parallel.hpp"
 #include "symex/state.hpp"
 
 namespace rvsym::symex {
@@ -83,17 +83,10 @@ void expectReportsEqual(const EngineReport& a, const EngineReport& b) {
   }
 }
 
-EngineReport runSequential(const EngineOptions& opts) {
-  ExprBuilder eb;
-  Engine engine(eb, opts);
-  return engine.run(treeProgram);
-}
-
-EngineReport runParallel(const EngineOptions& opts, unsigned jobs) {
-  ParallelEngineOptions popts;
-  static_cast<EngineOptions&>(popts) = opts;
-  popts.jobs = jobs;
-  ParallelEngine engine(popts);
+EngineReport runJobs(const EngineOptions& opts, unsigned jobs) {
+  EngineOptions with_jobs = opts;
+  with_jobs.jobs = jobs;
+  Engine engine(with_jobs);
   return engine.run([](WorkerContext&) { return PathProgram(treeProgram); });
 }
 
@@ -103,21 +96,80 @@ EngineOptions baseOptions() {
   return o;
 }
 
+// Commit-order rendering of the path records: end initial, decision
+// bits, then the test vector ("c1101:x=11" = completed, decisions
+// 1,1,0,1, x solved to 11).
+std::string pathSignature(const EngineReport& r) {
+  std::string out;
+  for (const PathRecord& p : r.paths) {
+    if (!out.empty()) out += ' ';
+    out += pathEndName(p.end)[0];
+    for (const bool d : p.decisions) out += d ? '1' : '0';
+    if (p.has_test)
+      for (const TestValue& v : p.test.values)
+        out += ":" + v.name + "=" + std::to_string(v.value);
+  }
+  return out;
+}
+
+// The exhaustive treeProgram exploration as the single-threaded
+// sequential engine reported it, per searcher: every deterministic
+// EngineReport field plus the commit-order path records.
+struct Reference {
+  EngineOptions::Searcher searcher;
+  const char* paths;
+};
+
+void expectReference(const EngineReport& r, const Reference& ref,
+                     unsigned jobs) {
+  SCOPED_TRACE("searcher " + std::to_string(static_cast<int>(ref.searcher)) +
+               " jobs " + std::to_string(jobs));
+  EXPECT_EQ(r.completed_paths, 15u);
+  EXPECT_EQ(r.error_paths, 1u);
+  EXPECT_EQ(r.infeasible_paths, 4u);
+  EXPECT_EQ(r.limited_paths, 0u);
+  EXPECT_EQ(r.unexplored_forks, 0u);
+  EXPECT_EQ(r.instructions, 96u);
+  EXPECT_EQ(r.test_vectors, 16u);
+  EXPECT_EQ(r.branches, 88u);
+  EXPECT_EQ(r.const_decided, 0u);
+  EXPECT_EQ(r.knownbits_decided, 0u);
+  EXPECT_EQ(r.solver_decided, 88u);
+  EXPECT_EQ(r.solver_checks, 62u);
+  EXPECT_FALSE(r.stopped_early);
+  EXPECT_EQ(pathSignature(r), ref.paths);
+}
+
 TEST(ParallelEngine, Jobs1MatchesSequentialEngine) {
-  const EngineOptions opts = baseOptions();
-  const EngineReport seq = runSequential(opts);
-  const EngineReport par = runParallel(opts, 1);
-  // Sanity: the program actually produces a non-trivial mix of endings.
-  EXPECT_GT(seq.completed_paths, 0u);
-  EXPECT_GT(seq.error_paths, 0u);
-  EXPECT_GT(seq.infeasible_paths, 0u);
-  expectReportsEqual(seq, par);
+  const Reference refs[] = {
+      {EngineOptions::Searcher::Dfs,
+       "i11111 c11110:x=15:y=16 c1110:x=7 c1101:x=11 c1100:x=3 i10111 "
+       "c10110:x=13:y=16 e1010:x=5 c1001:x=9 c1000:x=1 i01111 "
+       "c01110:x=14:y=16 c0110:x=6 c0101:x=10 c0100:x=2 i00111 "
+       "c00110:x=12:y=16 c0010:x=4 c0001:x=8 c0000:x=0"},
+      {EngineOptions::Searcher::Bfs,
+       "i11111 i01111 i10111 c1101:x=11 c1110:x=7 c11110:x=15:y=16 i00111 "
+       "c0101:x=10 c0110:x=6 c01110:x=14:y=16 c1001:x=9 e1010:x=5 "
+       "c10110:x=13:y=16 c1100:x=3 c0001:x=8 c0010:x=4 c00110:x=12:y=16 "
+       "c0100:x=2 c1000:x=1 c0000:x=0"},
+      {EngineOptions::Searcher::Random,
+       "i11111 c1101:x=11 c1110:x=7 c11110:x=15:y=16 c1100:x=3 i01111 "
+       "c0110:x=6 i10111 i00111 c0001:x=8 c0000:x=0 c01110:x=14:y=16 "
+       "c10110:x=13:y=16 c0010:x=4 e1010:x=5 c1001:x=9 c00110:x=12:y=16 "
+       "c0101:x=10 c0100:x=2 c1000:x=1"},
+  };
+  for (const Reference& ref : refs) {
+    EngineOptions opts = baseOptions();
+    opts.searcher = ref.searcher;
+    for (const unsigned jobs : {1u, 4u})
+      expectReference(runJobs(opts, jobs), ref, jobs);
+  }
 }
 
 TEST(ParallelEngine, Jobs4MatchesJobs1) {
   const EngineOptions opts = baseOptions();
-  const EngineReport one = runParallel(opts, 1);
-  const EngineReport four = runParallel(opts, 4);
+  const EngineReport one = runJobs(opts, 1);
+  const EngineReport four = runJobs(opts, 4);
   expectReportsEqual(one, four);
   // Same set of emitted test vectors in particular: compare the ordered
   // multiset of (name, value) flattenings as an extra explicit check.
@@ -139,39 +191,43 @@ TEST(ParallelEngine, ParityAcrossSearchers) {
         EngineOptions::Searcher::Random}) {
     EngineOptions opts = baseOptions();
     opts.searcher = s;
-    const EngineReport seq = runSequential(opts);
-    const EngineReport par = runParallel(opts, 3);
-    expectReportsEqual(seq, par);
+    expectReportsEqual(runJobs(opts, 1), runJobs(opts, 3));
   }
 }
 
 TEST(ParallelEngine, StopOnErrorParity) {
   EngineOptions opts = baseOptions();
   opts.stop_on_error = true;
-  const EngineReport seq = runSequential(opts);
-  const EngineReport par = runParallel(opts, 4);
-  EXPECT_EQ(seq.error_paths, 1u);
-  EXPECT_TRUE(seq.stopped_early);
-  expectReportsEqual(seq, par);
+  const EngineReport one = runJobs(opts, 1);
+  // The sequential reference: DFS stops at the eighth path.
+  EXPECT_EQ(one.completed_paths, 5u);
+  EXPECT_EQ(one.error_paths, 1u);
+  EXPECT_EQ(one.infeasible_paths, 2u);
+  EXPECT_EQ(one.unexplored_forks, 2u);
+  EXPECT_TRUE(one.stopped_early);
+  expectReportsEqual(one, runJobs(opts, 4));
 }
 
 TEST(ParallelEngine, MaxPathsBudgetParity) {
   EngineOptions opts = baseOptions();
   opts.max_paths = 7;
-  const EngineReport seq = runSequential(opts);
-  const EngineReport par = runParallel(opts, 4);
-  EXPECT_TRUE(seq.stopped_early);
-  expectReportsEqual(seq, par);
+  const EngineReport one = runJobs(opts, 1);
+  // The sequential reference: seven committed paths, three forks left.
+  EXPECT_EQ(one.completed_paths, 5u);
+  EXPECT_EQ(one.infeasible_paths, 2u);
+  EXPECT_EQ(one.unexplored_forks, 3u);
+  EXPECT_TRUE(one.stopped_early);
+  expectReportsEqual(one, runJobs(opts, 4));
 }
 
 TEST(ParallelEngine, WorkersGetPrivateBuilders) {
-  ParallelEngineOptions opts;
+  EngineOptions opts;
   opts.stop_on_error = false;
   opts.jobs = 4;
   std::mutex mu;
   std::vector<unsigned> worker_ids;
   std::set<const ExprBuilder*> builders;
-  ParallelEngine engine(opts);
+  Engine engine(opts);
   engine.run([&](WorkerContext& ctx) {
     std::lock_guard<std::mutex> lk(mu);
     worker_ids.push_back(ctx.worker_id);
@@ -188,10 +244,10 @@ TEST(ParallelEngine, WorkersGetPrivateBuilders) {
 }
 
 TEST(ParallelEngine, CacheHitsReportedOnRepeatedStructure) {
-  ParallelEngineOptions opts;
+  EngineOptions opts;
   opts.stop_on_error = false;
   opts.jobs = 1;  // deterministic traffic: hits come from replayed assumes
-  ParallelEngine engine(opts);
+  Engine engine(opts);
   const EngineReport r = engine.run(PathProgram(treeProgram));
   EXPECT_GT(r.qcache_misses, 0u);
   EXPECT_GT(r.qcache_hits, 0u);

@@ -16,7 +16,6 @@ namespace {
 
 using core::CosimConfig;
 using core::CoSimulation;
-using expr::ExprBuilder;
 
 /// The Table II co-simulation base: fixed DUT + spec-correct ISS, CSR
 /// (SYSTEM) instruction generation blocked, one injected error applied.
@@ -87,16 +86,14 @@ class SymbolicHunt : public ::testing::TestWithParam<int> {};
 
 TEST_P(SymbolicHunt, FindsInjectedError) {
   const InjectedError& error = allErrors()[static_cast<std::size_t>(GetParam())];
-  ExprBuilder eb;
   CosimConfig cfg = tableTwoConfig(error, 1);
 
   symex::EngineOptions opts;
   opts.stop_on_error = true;
   opts.max_paths = 3000;
   opts.max_seconds = 120;
-  CoSimulation cosim(eb, cfg);
-  symex::Engine engine(eb, opts);
-  const auto report = engine.run(cosim.program());
+  symex::Engine engine(opts);
+  const auto report = engine.run(cosimFactory(cfg));
 
   ASSERT_GT(report.error_paths, 0u)
       << error.id << " (" << error.description << ") not found";
@@ -129,7 +126,6 @@ INSTANTIATE_TEST_SUITE_P(AllErrors, SymbolicHunt, ::testing::Range(0, 10),
 
 TEST(SymbolicHunt, NoFalsePositivesWithoutFault) {
   // The identical configuration with NO injected fault must be clean.
-  ExprBuilder eb;
   CosimConfig cfg;
   cfg.rtl = rtl::fixedRtlConfig();
   cfg.iss.csr = iss::CsrConfig::specCorrect();
@@ -139,9 +135,8 @@ TEST(SymbolicHunt, NoFalsePositivesWithoutFault) {
   symex::EngineOptions opts;
   opts.stop_on_error = true;
   opts.max_paths = 400;
-  CoSimulation cosim(eb, cfg);
-  symex::Engine engine(eb, opts);
-  const auto report = engine.run(cosim.program());
+  symex::Engine engine(opts);
+  const auto report = engine.run(cosimFactory(cfg));
   EXPECT_EQ(report.error_paths, 0u);
 }
 

@@ -131,36 +131,33 @@ TEST(Fuzzer, InstrLimitTwoRunsPrograms) {
 }
 
 TEST(Hybrid, BroadFaultFoundByFuzzPhase) {
-  expr::ExprBuilder eb;
   core::CosimConfig cfg = fixedPair();
   fault::errorById("E3").apply(cfg);
   HybridOptions opts;
   opts.fuzz.max_tests = 50000;
-  const HybridReport r = runHybrid(eb, cfg, opts);
+  const HybridReport r = runHybrid(cfg, opts);
   EXPECT_EQ(r.found_by, HybridReport::FoundBy::Fuzzing);
   EXPECT_EQ(r.symex_paths, 0u) << "phase 2 must not run";
 }
 
 TEST(Hybrid, CornerCaseFallsThroughToSymbolic) {
-  expr::ExprBuilder eb;
   core::CosimConfig cfg = fixedPair();
   fault::errorById("X0").apply(cfg);
   HybridOptions opts;
   opts.fuzz.max_tests = 5000;
   opts.fuzz.max_seconds = 5;
-  const HybridReport r = runHybrid(eb, cfg, opts);
+  const HybridReport r = runHybrid(cfg, opts);
   EXPECT_EQ(r.found_by, HybridReport::FoundBy::Symbolic);
   EXPECT_GT(r.fuzz_tests, 0u);
   EXPECT_GT(r.symex_paths, 0u);
 }
 
 TEST(Hybrid, CleanDutFindsNothing) {
-  expr::ExprBuilder eb;
   HybridOptions opts;
   opts.fuzz.max_tests = 2000;
   opts.symex.max_paths = 150;
   opts.symex.max_seconds = 30;
-  const HybridReport r = runHybrid(eb, fixedPair(), opts);
+  const HybridReport r = runHybrid(fixedPair(), opts);
   EXPECT_FALSE(r.found());
   EXPECT_GT(r.totalSeconds(), 0.0);
 }

@@ -69,7 +69,6 @@ TEST(TableOne, CsrScenarioAtLimitTwoFindsStatefulMismatches) {
 TEST(TableTwo, FindsDecoderAndDatapathFaults) {
   for (const char* id : {"E0", "E3"}) {
     for (unsigned limit : {1u, 2u}) {
-      expr::ExprBuilder eb;
       CosimConfig cfg;
       cfg.rtl = rtl::fixedRtlConfig();
       cfg.iss.csr = iss::CsrConfig::specCorrect();
@@ -81,9 +80,8 @@ TEST(TableTwo, FindsDecoderAndDatapathFaults) {
       opts.stop_on_error = true;
       opts.max_paths = 4000;
       opts.max_seconds = 120;
-      CoSimulation cosim(eb, cfg);
-      symex::Engine engine(eb, opts);
-      const auto report = engine.run(cosim.program());
+      symex::Engine engine(opts);
+      const auto report = engine.run(cosimFactory(cfg));
       EXPECT_GT(report.error_paths, 0u)
           << id << " at instruction limit " << limit;
       EXPECT_GT(report.instructions, 0u);
@@ -97,7 +95,6 @@ TEST(TableTwo, FindsDecoderAndDatapathFaults) {
 TEST(ReproBundle, WriteAndReplayRoundTrip) {
   // Hunt one injected error, dump a repro bundle for the mismatch, then
   // replay the bundle from disk alone and expect the same voter verdict.
-  expr::ExprBuilder eb;
   CosimConfig cfg;
   cfg.rtl = rtl::fixedRtlConfig();
   cfg.iss.csr = iss::CsrConfig::specCorrect();
@@ -109,9 +106,8 @@ TEST(ReproBundle, WriteAndReplayRoundTrip) {
   opts.stop_on_error = true;
   opts.max_paths = 4000;
   opts.max_seconds = 120;
-  CoSimulation cosim(eb, cfg);
-  symex::Engine engine(eb, opts);
-  const auto report = engine.run(cosim.program());
+  symex::Engine engine(opts);
+  const auto report = engine.run(cosimFactory(cfg));
   ASSERT_GT(report.error_paths, 0u);
 
   const std::string dir = testing::TempDir() + "/rvsym_bundle_test";

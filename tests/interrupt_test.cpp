@@ -124,22 +124,19 @@ core::CosimConfig irqConfig() {
 }
 
 TEST(CosimInterrupts, BothModelsAgreeUnderInjection) {
-  expr::ExprBuilder eb;
   core::CosimConfig cfg = irqConfig();
   // Free symbolic instructions + an injected external interrupt: no
   // mismatch may surface (both models share the interrupt semantics).
   symex::EngineOptions opts;
   opts.stop_on_error = false;
   opts.max_paths = 150;
-  core::CoSimulation cosim(eb, cfg);
-  symex::Engine engine(eb, opts);
-  const auto report = engine.run(cosim.program());
+  symex::Engine engine(opts);
+  const auto report = engine.run(core::cosimFactory(cfg));
   EXPECT_EQ(report.error_paths, 0u);
   EXPECT_GE(report.completed_paths, 20u);
 }
 
 TEST(CosimInterrupts, AsymmetricSupportIsDetected) {
-  expr::ExprBuilder eb;
   core::CosimConfig cfg = irqConfig();
   cfg.rtl.enable_interrupts = false;  // RTL ignores the line
   // Scenario assume: pin the enabling sequence (csrrw mstatus, x1;
@@ -163,9 +160,8 @@ TEST(CosimInterrupts, AsymmetricSupportIsDetected) {
   opts.stop_on_error = true;
   opts.max_paths = 4000;
   opts.max_seconds = 120;
-  core::CoSimulation cosim(eb, cfg);
-  symex::Engine engine(eb, opts);
-  const auto report = engine.run(cosim.program());
+  symex::Engine engine(opts);
+  const auto report = engine.run(core::cosimFactory(cfg));
   EXPECT_GT(report.error_paths, 0u)
       << "interrupt-support mismatch must be discoverable";
 }
@@ -228,7 +224,6 @@ TEST(RvfiMonitor, CatchesTrapWithSideEffects) {
 }
 
 TEST(RvfiMonitor, CleanOnRealCosimStreams) {
-  expr::ExprBuilder eb;
   core::CosimConfig cfg;
   cfg.rtl = rtl::fixedRtlConfig();
   cfg.iss.csr = iss::CsrConfig::specCorrect();
@@ -237,9 +232,8 @@ TEST(RvfiMonitor, CleanOnRealCosimStreams) {
   symex::EngineOptions opts;
   opts.stop_on_error = false;
   opts.max_paths = 80;
-  core::CoSimulation cosim(eb, cfg);
-  symex::Engine engine(eb, opts);
-  const auto report = engine.run(cosim.program());
+  symex::Engine engine(opts);
+  const auto report = engine.run(core::cosimFactory(cfg));
   EXPECT_EQ(report.error_paths, 0u);
 }
 

@@ -4,6 +4,7 @@
 // symbolic machinery (all values fold to constants).
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <random>
 #include <unordered_map>
 #include <vector>
@@ -83,6 +84,11 @@ struct AluCase {
   std::uint32_t x1, x2;
   std::uint32_t expected;   // x3 after execution
 };
+
+// Without a printer gtest shows the raw bytes of the case, `name`'s
+// address included, in the listed test names; that address moves with
+// every load of the binary, so the listed names would too.
+void PrintTo(const AluCase& c, std::ostream* os) { *os << c.name; }
 
 class AluGolden : public IssFixture,
                   public ::testing::WithParamInterface<AluCase> {};

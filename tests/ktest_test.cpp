@@ -67,15 +67,13 @@ TEST(KTest, ExportsReportVectors) {
   std::filesystem::remove_all(dir);
 
   // Generate a few real vectors from a tiny exploration.
-  expr::ExprBuilder eb;
   core::CosimConfig cfg;
   cfg.instr_limit = 1;
   EngineOptions opts;
   opts.stop_on_error = false;
   opts.max_paths = 12;
-  core::CoSimulation cosim(eb, cfg);
-  Engine engine(eb, opts);
-  const EngineReport report = engine.run(cosim.program());
+  Engine engine(opts);
+  const EngineReport report = engine.run(core::cosimFactory(cfg));
   ASSERT_GT(report.test_vectors, 0u);
 
   const std::size_t written = exportReportVectors(report, dir);

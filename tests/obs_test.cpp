@@ -22,7 +22,7 @@
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_events.hpp"
-#include "symex/parallel.hpp"
+#include "symex/engine.hpp"
 #include "symex/state.hpp"
 
 namespace rvsym::obs {
@@ -283,11 +283,11 @@ void traceProgram(symex::ExecState& st) {
 #ifndef RVSYM_OBS_NO_TRACING
 std::string runTraced(unsigned jobs) {
   BufferTraceSink sink;
-  symex::ParallelEngineOptions opts;
+  symex::EngineOptions opts;
   opts.jobs = jobs;
   opts.stop_on_error = false;
   opts.trace = &sink;
-  symex::ParallelEngine engine(opts);
+  symex::Engine engine(opts);
   engine.run([](symex::WorkerContext&) { return traceProgram; });
   return sink.joined();
 }
@@ -341,11 +341,11 @@ TEST(TraceDeterminism, ForkTreeReconstructs) {
 
 TEST(EngineMetrics, RegistrySeesSolverAndCommitActivity) {
   MetricsRegistry registry;
-  symex::ParallelEngineOptions opts;
+  symex::EngineOptions opts;
   opts.jobs = 2;
   opts.stop_on_error = false;
   opts.metrics = &registry;
-  symex::ParallelEngine engine(opts);
+  symex::Engine engine(opts);
   const symex::EngineReport report =
       engine.run([](symex::WorkerContext&) { return traceProgram; });
 

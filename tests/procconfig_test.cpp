@@ -5,6 +5,8 @@
 // different descriptions mismatch.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/cosim.hpp"
 #include "core/procconfig.hpp"
 #include "expr/builder.hpp"
@@ -14,15 +16,13 @@ namespace rvsym::core {
 namespace {
 
 symex::EngineReport explore(const CosimConfig& cfg, std::uint64_t paths) {
-  expr::ExprBuilder eb;
   symex::EngineOptions opts;
   opts.stop_on_error = false;
   opts.max_paths = paths;
   opts.max_seconds = 120;
   opts.max_stored_paths = 1;
-  CoSimulation cosim(eb, cfg);
-  symex::Engine engine(eb, opts);
-  return engine.run(cosim.program());
+  symex::Engine engine(opts);
+  return engine.run(cosimFactory(cfg));
 }
 
 TEST(ProcessorConfig, DerivationIsInternallyConsistent) {
@@ -41,6 +41,10 @@ struct ConfigCase {
   const char* name;
   ProcessorConfig config;
 };
+
+// Printed by name: gtest's raw-byte fallback would put `name`'s address
+// (and the struct's padding) into the listed test names.
+void PrintTo(const ConfigCase& c, std::ostream* os) { *os << c.name; }
 
 class DerivedPairLockstep : public ::testing::TestWithParam<ConfigCase> {};
 

@@ -489,13 +489,12 @@ TEST(SolverOpt, EngineReportIdenticalAcrossLayerConfigs) {
   };
 
   const auto runWith = [&](const char* spec) {
-    ExprBuilder eb;
     symex::EngineOptions opts;
     opts.stop_on_error = false;
     SolverOptions sopt;
     EXPECT_TRUE(parseSolverOpt(spec, &sopt));
     opts.solver_opt = sopt;
-    symex::Engine engine(eb, opts);
+    symex::Engine engine(opts);
     return engine.run(program);
   };
 

@@ -153,8 +153,7 @@ TEST(KnownBits, ComputeIsSoundOnRandomExpressions) {
 // --- Engine: path enumeration -----------------------------------------------------
 
 TEST(Engine, EnumeratesAllLeavesOfBranchTree) {
-  ExprBuilder eb;
-  Engine engine(eb, defaultOptions());
+  Engine engine(defaultOptions());
   std::multiset<int> leaves;
   auto report = engine.run([&](ExecState& st) {
     auto v = st.makeSymbolic("v", 2);
@@ -170,8 +169,7 @@ TEST(Engine, EnumeratesAllLeavesOfBranchTree) {
 }
 
 TEST(Engine, ConstraintsPruneInfeasibleDirections) {
-  ExprBuilder eb;
-  Engine engine(eb, defaultOptions());
+  Engine engine(defaultOptions());
   auto report = engine.run([&](ExecState& st) {
     auto& b = st.builder();
     auto v = st.makeSymbolic("v", 8);
@@ -184,8 +182,7 @@ TEST(Engine, ConstraintsPruneInfeasibleDirections) {
 }
 
 TEST(Engine, AssumeFalseTerminatesInfeasible) {
-  ExprBuilder eb;
-  Engine engine(eb, defaultOptions());
+  Engine engine(defaultOptions());
   auto report = engine.run([&](ExecState& st) {
     st.assume(st.builder().falseExpr());
     FAIL() << "unreachable";
@@ -195,8 +192,7 @@ TEST(Engine, AssumeFalseTerminatesInfeasible) {
 }
 
 TEST(Engine, ContradictoryAssumesPrune) {
-  ExprBuilder eb;
-  Engine engine(eb, defaultOptions());
+  Engine engine(defaultOptions());
   auto report = engine.run([&](ExecState& st) {
     auto& b = st.builder();
     auto v = st.makeSymbolic("v", 8);
@@ -208,9 +204,8 @@ TEST(Engine, ContradictoryAssumesPrune) {
 }
 
 TEST(Engine, ErrorPathsCarryMessageAndTestVector) {
-  ExprBuilder eb;
   EngineOptions opts = defaultOptions();
-  Engine engine(eb, opts);
+  Engine engine(opts);
   auto report = engine.run([&](ExecState& st) {
     auto& b = st.builder();
     auto v = st.makeSymbolic("magic", 32);
@@ -226,11 +221,10 @@ TEST(Engine, ErrorPathsCarryMessageAndTestVector) {
 }
 
 TEST(Engine, StopOnErrorLeavesForksUnexplored) {
-  ExprBuilder eb;
   EngineOptions opts = defaultOptions();
   opts.stop_on_error = true;
   opts.take_true_first = true;
-  Engine engine(eb, opts);
+  Engine engine(opts);
   auto report = engine.run([&](ExecState& st) {
     auto& b = st.builder();
     auto v = st.makeSymbolic("v", 8);
@@ -247,8 +241,7 @@ TEST(Engine, StopOnErrorLeavesForksUnexplored) {
 }
 
 TEST(Engine, KnownBitsAvoidsSolverOnRedundantBranches) {
-  ExprBuilder eb;
-  Engine engine(eb, defaultOptions());
+  Engine engine(defaultOptions());
   auto report = engine.run([&](ExecState& st) {
     auto& b = st.builder();
     auto instr = st.makeSymbolic("instr", 32);
@@ -264,8 +257,7 @@ TEST(Engine, KnownBitsAvoidsSolverOnRedundantBranches) {
 }
 
 TEST(Engine, ForkedConstraintsFeedKnownBits) {
-  ExprBuilder eb;
-  Engine engine(eb, defaultOptions());
+  Engine engine(defaultOptions());
   std::uint64_t knownbits_hits = 0;
   auto report = engine.run([&](ExecState& st) {
     auto& b = st.builder();
@@ -282,8 +274,7 @@ TEST(Engine, ForkedConstraintsFeedKnownBits) {
 }
 
 TEST(Engine, ConcretizePinsValue) {
-  ExprBuilder eb;
-  Engine engine(eb, defaultOptions());
+  Engine engine(defaultOptions());
   auto report = engine.run([&](ExecState& st) {
     auto& b = st.builder();
     auto v = st.makeSymbolic("addr", 32);
@@ -297,10 +288,9 @@ TEST(Engine, ConcretizePinsValue) {
 }
 
 TEST(Engine, InstructionBudgetStopsRun) {
-  ExprBuilder eb;
   EngineOptions opts = defaultOptions();
   opts.max_instructions = 10;
-  Engine engine(eb, opts);
+  Engine engine(opts);
   auto report = engine.run([&](ExecState& st) {
     auto& b = st.builder();
     auto v = st.makeSymbolic("v", 8);
@@ -313,10 +303,9 @@ TEST(Engine, InstructionBudgetStopsRun) {
 }
 
 TEST(Engine, MaxPathsBudget) {
-  ExprBuilder eb;
   EngineOptions opts = defaultOptions();
   opts.max_paths = 3;
-  Engine engine(eb, opts);
+  Engine engine(opts);
   auto report = engine.run([&](ExecState& st) {
     auto& b = st.builder();
     auto v = st.makeSymbolic("v", 8);
@@ -331,10 +320,9 @@ TEST(Engine, SearchersCoverSameLeaves) {
   for (auto searcher : {EngineOptions::Searcher::Dfs,
                         EngineOptions::Searcher::Bfs,
                         EngineOptions::Searcher::Random}) {
-    ExprBuilder eb;
     EngineOptions opts = defaultOptions();
     opts.searcher = searcher;
-    Engine engine(eb, opts);
+    Engine engine(opts);
     std::multiset<std::uint64_t> leaves;
     auto report = engine.run([&](ExecState& st) {
       auto& b = st.builder();
@@ -352,8 +340,7 @@ TEST(Engine, SearchersCoverSameLeaves) {
 TEST(Engine, ReplayAlignmentWithMixedBranchKinds) {
   // A program whose branch sequence interleaves const-folded, known-bits
   // and solver branches: replay must still enumerate exactly the leaves.
-  ExprBuilder eb;
-  Engine engine(eb, defaultOptions());
+  Engine engine(defaultOptions());
   std::multiset<int> leaves;
   auto report = engine.run([&](ExecState& st) {
     auto& b = st.builder();
@@ -375,8 +362,7 @@ TEST(Engine, ReplayAlignmentWithMixedBranchKinds) {
 }
 
 TEST(Engine, TestVectorsForEachCompletedPath) {
-  ExprBuilder eb;
-  Engine engine(eb, defaultOptions());
+  Engine engine(defaultOptions());
   auto report = engine.run([&](ExecState& st) {
     auto& b = st.builder();
     auto v = st.makeSymbolic("sel", 8);
@@ -397,11 +383,10 @@ TEST(Engine, TestVectorsForEachCompletedPath) {
 }
 
 TEST(Engine, DecisionBudgetTerminatesPath) {
-  ExprBuilder eb;
   EngineOptions opts = defaultOptions();
   opts.max_decisions_per_path = 4;
   opts.max_paths = 40;
-  Engine engine(eb, opts);
+  Engine engine(opts);
   auto report = engine.run([&](ExecState& st) {
     auto& b = st.builder();
     auto v = st.makeSymbolic("v", 32);
@@ -412,8 +397,7 @@ TEST(Engine, DecisionBudgetTerminatesPath) {
 }
 
 TEST(Engine, FinishTerminatesAsCompleted) {
-  ExprBuilder eb;
-  Engine engine(eb, defaultOptions());
+  Engine engine(defaultOptions());
   auto report = engine.run([&](ExecState& st) {
     st.makeSymbolic("v", 8);
     st.finish();

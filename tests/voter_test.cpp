@@ -103,10 +103,9 @@ TEST_F(VoterFixture, SemanticallyEqualExpressionsAgree) {
 TEST(VoterForking, PossibleDivergenceForksBothWays) {
   // rd values x and 5: equal only when x == 5, so the voter must fork —
   // one mismatch path and one agreeing path.
-  ExprBuilder eb;
   symex::EngineOptions opts;
   opts.stop_on_error = false;
-  symex::Engine engine(eb, opts);
+  symex::Engine engine(opts);
   std::uint64_t agreed = 0;
   const auto report = engine.run([&](symex::ExecState& s) {
     Voter voter;

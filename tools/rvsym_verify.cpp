@@ -269,11 +269,10 @@ int main(int argc, char** argv) {
     return r.found ? 0 : 1;
   }
   if (mode == "hybrid") {
-    expr::ExprBuilder eb;
     fuzz::HybridOptions hopts;
     hopts.symex.max_seconds = seconds;
     hopts.symex.max_paths = paths;
-    const fuzz::HybridReport r = fuzz::runHybrid(eb, cfg, hopts);
+    const fuzz::HybridReport r = fuzz::runHybrid(cfg, hopts);
     std::printf("hybrid: fuzz %llu tests (%.2fs), symex %llu paths (%.2fs)\n",
                 static_cast<unsigned long long>(r.fuzz_tests), r.fuzz_seconds,
                 static_cast<unsigned long long>(r.symex_paths),
