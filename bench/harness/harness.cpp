@@ -16,7 +16,6 @@
 #include <atomic>
 
 #include "obs/analyze/json_reader.hpp"
-#include "obs/flightrec/crashdump.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
@@ -241,24 +240,6 @@ int runSuite(const RunOptions& opts) {
     }
   }
 
-  // Crash forensics over the suite: each invocation is one busy bracket
-  // with a Mark event, so a bench subprocess that wedges past
-  // --stall-timeout produces a bundle naming the bench.
-  obs::flightrec::ForensicsSession forensics;
-  if (!opts.crash_dir.empty()) {
-    obs::flightrec::ForensicsOptions fo;
-    fo.crash_dir = opts.crash_dir;
-    fo.stall_timeout_s = opts.stall_timeout_s;
-    fo.tool = "rvsym-bench";
-    std::string err;
-    if (!forensics.install(fo, &err)) {
-      std::fprintf(stderr, "--crash-dir: %s\n", err.c_str());
-      return 2;
-    }
-    obs::flightrec::setForensicsMetrics(&registry);
-    obs::flightrec::setThreadName("suite");
-  }
-
   std::vector<BenchRun> runs;
   bool all_ok = true;
   for (const BenchSpec* spec : selected) {
@@ -292,11 +273,7 @@ int runSuite(const RunOptions& opts) {
                   timed ? opts.repeats : opts.warmup);
       std::fflush(stdout);
       std::uint64_t wall_us = 0;
-      obs::flightrec::emit(obs::flightrec::EventKind::Mark, i, 0, 0,
-                           spec->name.c_str());
-      obs::flightrec::busyBegin();
       const int rc = runCommand(cmd, wall_us);
-      obs::flightrec::busyEnd();
       invocations.add(1);
       if (rc != 0) {
         std::fprintf(stderr, "[%s] exited with %d (log: %s)\n",

@@ -75,12 +75,6 @@ struct RunOptions {
   std::string timeseries_out;
   std::string status_file;
   double sample_interval_s = 0.5;
-  /// Crash forensics: arm fatal-signal/SIGUSR1 bundle dumps into this
-  /// directory, plus stall detection (one bench invocation exceeding
-  /// stall_timeout_s without finishing) when the timeout is nonzero.
-  /// Empty = off.
-  std::string crash_dir;
-  double stall_timeout_s = 0;
 };
 
 /// One bench's aggregated outcome.

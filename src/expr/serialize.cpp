@@ -3,7 +3,6 @@
 #include <cctype>
 #include <cinttypes>
 #include <cstdio>
-#include <limits>
 #include <unordered_map>
 #include <utility>
 
@@ -85,14 +84,12 @@ ExprRef buildNode(ExprBuilder& eb, Kind kind, const ExprRef& a,
 
 }  // namespace
 
-std::optional<BoundedNodes> serializeNodesBounded(
-    const std::vector<ExprRef>& roots, std::size_t max_bytes) {
+std::optional<std::string> serializeNodes(const std::vector<ExprRef>& roots) {
   // Iterative post-order over the union DAG; each node serializes once.
   std::unordered_map<const Expr*, std::uint64_t> ids;
   std::vector<const Expr*> stack;
   std::string out;
   char buf[96];
-  bool truncated = false;
 
   const auto emit = [&](const Expr& e) -> bool {
     const std::uint64_t id = ids.size();
@@ -145,10 +142,6 @@ std::optional<BoundedNodes> serializeNodesBounded(
     if (!root) return std::nullopt;
     stack.push_back(root.get());
     while (!stack.empty()) {
-      if (out.size() >= max_bytes) {
-        truncated = true;
-        break;
-      }
       const Expr* node = stack.back();
       if (ids.count(node) != 0) {
         stack.pop_back();
@@ -166,26 +159,12 @@ std::optional<BoundedNodes> serializeNodesBounded(
       stack.pop_back();
       if (!emit(*node)) return std::nullopt;
     }
-    if (truncated) break;
   }
-  if (!truncated) {
-    for (const ExprRef& root : roots) {
-      std::snprintf(buf, sizeof buf, "root n%" PRIu64 "\n", ids.at(root.get()));
-      out += buf;
-    }
+  for (const ExprRef& root : roots) {
+    std::snprintf(buf, sizeof buf, "root n%" PRIu64 "\n", ids.at(root.get()));
+    out += buf;
   }
-  BoundedNodes result;
-  result.text = std::move(out);
-  result.nodes = ids.size();
-  result.truncated = truncated;
-  return result;
-}
-
-std::optional<std::string> serializeNodes(const std::vector<ExprRef>& roots) {
-  std::optional<BoundedNodes> b = serializeNodesBounded(
-      roots, std::numeric_limits<std::size_t>::max());
-  if (!b) return std::nullopt;
-  return std::move(b->text);
+  return out;
 }
 
 std::optional<std::vector<ExprRef>> parseNodes(ExprBuilder& eb,

@@ -44,21 +44,6 @@ namespace rvsym::expr {
 /// contains whitespace (unserializable).
 std::optional<std::string> serializeNodes(const std::vector<ExprRef>& roots);
 
-/// serializeNodes with an output budget, for consumers that truncate
-/// anyway (the crash-forensics in-flight slot). The DAG walk stops as
-/// soon as `text` reaches `max_bytes`, so the work done is bounded by
-/// the budget rather than by the DAG size. A truncated result carries
-/// node lines only (no "root" trailer — the ids it would reference may
-/// not have been emitted); a complete result is byte-identical to
-/// serializeNodes().
-struct BoundedNodes {
-  std::string text;
-  std::uint64_t nodes = 0;  ///< node lines actually emitted
-  bool truncated = false;
-};
-std::optional<BoundedNodes> serializeNodesBounded(
-    const std::vector<ExprRef>& roots, std::size_t max_bytes);
-
 /// Parses a serializeNodes() document back into `eb`. Returns the root
 /// expressions in serialization order, or std::nullopt with a
 /// human-readable reason in `error`.

@@ -14,8 +14,6 @@
 
 #include "core/coverage.hpp"
 #include "mut/journal.hpp"
-#include "obs/flightrec/crashdump.hpp"
-#include "obs/flightrec/ring.hpp"
 #include "obs/heartbeat.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
@@ -188,22 +186,14 @@ CampaignReport CampaignRunner::run(const std::vector<Mutant>& mutants) {
     }
   }
 
-  // `todo_enum[i]` is todo[i]'s index in the full enumeration (`mutants`).
-  // Flight-recorder events carry this index, which is stable across
-  // resume invocations with the same selection flags, so a crash bundle
-  // can be cross-referenced against a later run's mutant list.
   std::vector<const Mutant*> todo;
-  std::vector<std::size_t> todo_enum;
   todo.reserve(mutants.size());
-  todo_enum.reserve(mutants.size());
-  for (std::size_t mi = 0; mi < mutants.size(); ++mi) {
-    const Mutant& m = mutants[mi];
+  for (const Mutant& m : mutants) {
     if (judged.count(m.id())) {
       ++report.skipped;
       continue;
     }
     todo.push_back(&m);
-    todo_enum.push_back(mi);
   }
 
   std::FILE* journal = nullptr;
@@ -240,13 +230,6 @@ CampaignReport CampaignRunner::run(const std::vector<Mutant>& mutants) {
   // Campaign progress shared with the per-hunt heartbeat annotators.
   std::atomic<std::uint64_t> judged_count{0}, killed_count{0};
   const std::size_t total = todo.size();
-
-  // Crash forensics: let dump bundles report the journal position
-  // (skipped-on-resume + committed-this-run) alongside the ring events.
-  if (!options_.journal_path.empty())
-    obs::flightrec::setForensicsJournal(
-        options_.journal_path.c_str(), &judged_count,
-        static_cast<std::uint64_t>(report.skipped));
 
   // Live campaign progress in the registry (commit-order updates, so the
   // final values are deterministic): the timeseries sampler and any
@@ -290,24 +273,11 @@ CampaignReport CampaignRunner::run(const std::vector<Mutant>& mutants) {
   std::condition_variable done_cv;
   std::atomic<std::size_t> next{0};
 
-  // One judgement, bracketed for the flight recorder: MutantBegin before
-  // the hunt, busy stamps for the stall watchdog. The matching
-  // MutantVerdict is emitted by the committer, so a bundle with a Begin
-  // and no Verdict for a slot pinpoints the in-flight mutant.
   const auto judgeOne = [&](std::size_t i) {
-    obs::flightrec::emit(obs::flightrec::EventKind::MutantBegin, todo_enum[i],
-                         0, 0, todo[i]->id().c_str());
-    obs::flightrec::busyBegin();
-    MutantResult r =
-        judgeMutant(*todo[i], run_options, cache.get(), heartbeat_extra);
-    obs::flightrec::busyEnd();
-    return r;
+    return judgeMutant(*todo[i], run_options, cache.get(), heartbeat_extra);
   };
 
-  const auto workerLoop = [&](unsigned worker_index) {
-    char fr_name[16];
-    std::snprintf(fr_name, sizeof fr_name, "judge%u", worker_index);
-    const obs::flightrec::ScopedThread fr_thread(fr_name);
+  const auto workerLoop = [&] {
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= todo.size()) return;
@@ -325,14 +295,11 @@ CampaignReport CampaignRunner::run(const std::vector<Mutant>& mutants) {
   std::vector<std::thread> threads;
   if (jobs > 1) {
     threads.reserve(jobs);
-    for (unsigned t = 0; t < jobs; ++t) threads.emplace_back(workerLoop, t);
+    for (unsigned t = 0; t < jobs; ++t) threads.emplace_back(workerLoop);
   }
 
   double next_heartbeat = options_.heartbeat_seconds;
-  const auto commit = [&](MutantResult& r, std::size_t enum_index) {
-    obs::flightrec::emit(obs::flightrec::EventKind::MutantVerdict, enum_index,
-                         static_cast<std::uint64_t>(r.verdict), 0,
-                         r.mutant.id().c_str());
+  const auto commit = [&](MutantResult& r) {
     judged_count.fetch_add(1, std::memory_order_relaxed);
     if (c_judged) c_judged->add();
     switch (r.verdict) {
@@ -379,7 +346,7 @@ CampaignReport CampaignRunner::run(const std::vector<Mutant>& mutants) {
     // Sequential: judge and commit inline on this thread.
     for (std::size_t i = 0; i < todo.size(); ++i) {
       MutantResult r = judgeOne(i);
-      commit(r, todo_enum[i]);
+      commit(r);
     }
   } else {
     std::unique_lock<std::mutex> lk(mu);
@@ -387,16 +354,13 @@ CampaignReport CampaignRunner::run(const std::vector<Mutant>& mutants) {
       done_cv.wait(lk, [&] { return slots[i].done; });
       MutantResult r = std::move(slots[i].result);
       lk.unlock();
-      commit(r, todo_enum[i]);
+      commit(r);
       lk.lock();
     }
   }
   for (std::thread& t : threads) t.join();
 
   if (journal) std::fclose(journal);
-  // Detach the journal position before judged_count goes out of scope.
-  if (!options_.journal_path.empty())
-    obs::flightrec::setForensicsJournal(nullptr, nullptr, 0);
   report.seconds = elapsed();
   return report;
 }

@@ -1,4 +1,4 @@
-// Fleet-wide metrics aggregation for rvsym-serve (DESIGN.md §14).
+// Fleet-wide metrics aggregation for rvsym-serve (DESIGN.md §13).
 //
 // Each serve worker periodically serializes its MetricsRegistry (the
 // toJson() document) into a metrics_report frame; the daemon parses the

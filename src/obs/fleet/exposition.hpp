@@ -2,7 +2,7 @@
 // aggregate — what `rvsym-serve scrape`, the daemon's `metrics` request
 // and the `--metrics-listen` HTTP endpoint all serve.
 //
-// Rendering rules (DESIGN.md §14):
+// Rendering rules (DESIGN.md §13):
 //  * instrument names mangle dots to underscores under an "rvsym_"
 //    prefix: counter "qcache.hits" -> "rvsym_qcache_hits_total";
 //  * counters render from the merged fleet view as *_total;

@@ -1,5 +1,5 @@
 // Durable run history for rvsym-serve — runs.rvhx, schema
-// rvsym-runs-v1 (DESIGN.md §14).
+// rvsym-runs-v1 (DESIGN.md §13).
 //
 // The daemon appends one JSONL record per finalized job: the job's
 // verdict mix, solve counts and cache dispositions aggregated from its

@@ -1,4 +1,4 @@
-// Cross-process Chrome-trace merging (DESIGN.md §14).
+// Cross-process Chrome-trace merging (DESIGN.md §13).
 //
 // A campaign produces one trace file per process: the daemon's own
 // spans plus one file per worker, each written with pid 1 and

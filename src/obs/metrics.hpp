@@ -91,7 +91,7 @@ class Histogram {
   }
 
   /// Bucket-wise add of `other` into this histogram — the fleet
-  /// aggregation primitive (DESIGN.md §14). Power-of-2 buckets are
+  /// aggregation primitive (DESIGN.md §13). Power-of-2 buckets are
   /// identical across histograms, so merging is exact at bucket
   /// resolution: quantiles of the merged histogram match quantiles of
   /// the pooled samples to within one bucket. Safe against concurrent

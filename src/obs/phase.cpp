@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <unordered_map>
 
-#include "obs/flightrec/ring.hpp"
 #include "obs/trace_events.hpp"
 
 namespace rvsym::obs {
@@ -18,10 +17,6 @@ std::vector<PhaseProfiler::Frame>& PhaseProfiler::threadStack() {
 
 void PhaseProfiler::enter(const char* name) {
   std::vector<Frame>& stack = threadStack();
-  // Crash forensics: phase transitions on the flight recorder give a
-  // crash bundle its "what was this thread doing" spine (no-op unless a
-  // recorder is installed).
-  flightrec::emit(flightrec::EventKind::Phase, stack.size() + 1, 0, 0, name);
   stack.push_back(Frame{name, std::chrono::steady_clock::now(), 0});
 }
 

@@ -1,14 +1,8 @@
 #include "obs/timeseries.hpp"
 
 #include <cstdio>
-#include <cstring>
 #include <utility>
 
-#ifndef _WIN32
-#include <unistd.h>
-#endif
-
-#include "obs/flightrec/crashdump.hpp"
 #include "obs/json.hpp"
 
 namespace rvsym::obs {
@@ -103,8 +97,7 @@ std::string TimeseriesSampler::sampleJson(const HeartbeatSnapshot& s,
 
 std::string TimeseriesSampler::finalJson(const HeartbeatSnapshot& s,
                                          const std::string& kind, double t_s,
-                                         std::uint64_t samples,
-                                         bool abnormal) {
+                                         std::uint64_t samples) {
   // Field order: deterministic workload-derived fields first, then the
   // t_/qc_-prefixed timing-dependent tail — the same canonicalization
   // convention the trace/journal footers use, so obs::analyze can diff
@@ -116,7 +109,6 @@ std::string TimeseriesSampler::finalJson(const HeartbeatSnapshot& s,
   writeProgressSections(w, s);
   w.field("t_s", t_s);
   w.field("t_samples", samples);
-  if (abnormal) w.field("t_abnormal", true);
   if (s.has_solver) {
     w.field("t_solves", s.solver_solves);
     w.field("t_slow", s.slow_queries);
@@ -147,12 +139,6 @@ TimeseriesSampler::TimeseriesSampler(TimeseriesOptions opts,
 TimeseriesSampler::~TimeseriesSampler() { stop(); }
 
 bool TimeseriesSampler::start(std::string* error) {
-#ifdef RVSYM_OBS_NO_TRACING
-  if (error)
-    *error = "tracing compiled out (RVSYM_DISABLE_TRACING); rebuild without "
-             "-DRVSYM_DISABLE_TRACING to use timeseries/status output";
-  return false;
-#else
   if (running_) return true;
   if (opts_.out_path.empty() && opts_.status_path.empty()) {
     if (error) *error = "timeseries sampler needs an output or status path";
@@ -172,23 +158,8 @@ bool TimeseriesSampler::start(std::string* error) {
   start_time_ = std::chrono::steady_clock::now();
   stop_requested_ = false;
   running_ = true;
-  // Arm the crash flush: if the process dies before stop(), the
-  // registered writer appends the latest precomposed abnormal footer to
-  // the stream from signal context (tick() fflushes after each record,
-  // so the fd position is always at a record boundary). Only the stream
-  // gets this treatment — the status file needs open/rename, which the
-  // fatal path avoids.
-  if (stream_ != nullptr) {
-#ifndef _WIN32
-    stream_fd_ = fileno(stream_);
-#endif
-    publishCrashRecord(snapshotNow());
-    crash_writer_id_ =
-        flightrec::addCrashWriter({&TimeseriesSampler::crashFlush, this});
-  }
   thread_ = std::thread([this] { threadMain(); });
   return true;
-#endif
 }
 
 void TimeseriesSampler::stop() {
@@ -199,14 +170,6 @@ void TimeseriesSampler::stop() {
   }
   cv_.notify_all();
   if (thread_.joinable()) thread_.join();
-
-  // Disarm the crash flush before the clean footer goes out, so a
-  // signal landing after this point can't append a second one.
-  if (crash_writer_id_ >= 0) {
-    flightrec::removeCrashWriter(crash_writer_id_);
-    crash_writer_id_ = -1;
-  }
-  stream_fd_ = -1;
 
   // Final sample (covers runs shorter than one interval) + the
   // deterministic closing record.
@@ -251,64 +214,9 @@ void TimeseriesSampler::tick(std::uint64_t seq) {
     std::fprintf(stream_, "%s\n",
                  sampleJson(s, &registry_, seq).c_str());
     std::fflush(stream_);
-    publishCrashRecord(s);
   }
   writeStatus(s, seq);
   if (opts_.echo_stderr) emitHeartbeatLine(s, opts_.stderr_prefix);
-}
-
-void TimeseriesSampler::publishCrashRecord(const HeartbeatSnapshot& s) {
-  const std::string rec =
-      finalJson(s, opts_.kind, s.elapsed_s,
-                samples_.load(std::memory_order_relaxed),
-                /*abnormal=*/true) +
-      "\n";
-  const std::uint32_t len = static_cast<std::uint32_t>(
-      rec.size() < kCrashBufBytes ? rec.size() : kCrashBufBytes);
-  // Seqlock write (sampler thread only): odd version while the payload
-  // is inconsistent, even when readable. The crash writer may run on
-  // any thread, so every byte goes through a relaxed atomic store and
-  // the version flips carry the ordering.
-  const std::uint32_t v = crash_ver_.load(std::memory_order_relaxed);
-  crash_ver_.store(v + 1, std::memory_order_release);
-  std::atomic_thread_fence(std::memory_order_release);
-  for (std::uint32_t i = 0; i < len; ++i)
-    crash_buf_[i].store(rec[i], std::memory_order_relaxed);
-  crash_len_.store(len, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  crash_ver_.store(v + 2, std::memory_order_release);
-}
-
-void TimeseriesSampler::crashFlush(void* ctx, bool /*fatal*/) {
-#ifndef _WIN32
-  // Async-signal-safe: reads the seqlock'd precomposed record and
-  // write()s it after whatever tick() last fflushed. Nothing here
-  // allocates, locks, or touches stdio.
-  auto* self = static_cast<TimeseriesSampler*>(ctx);
-  const int fd = self->stream_fd_;
-  if (fd < 0) return;
-  char buf[kCrashBufBytes];
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    const std::uint32_t v0 = self->crash_ver_.load(std::memory_order_acquire);
-    if (v0 == 0 || (v0 & 1u) != 0) continue;  // never published / mid-write
-    const std::uint32_t len =
-        self->crash_len_.load(std::memory_order_relaxed);
-    if (len == 0 || len > kCrashBufBytes) continue;
-    for (std::uint32_t i = 0; i < len; ++i)
-      buf[i] = self->crash_buf_[i].load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (self->crash_ver_.load(std::memory_order_relaxed) != v0) continue;
-    std::size_t off = 0;
-    while (off < len) {
-      const ssize_t n = ::write(fd, buf + off, len - off);
-      if (n <= 0) break;
-      off += static_cast<std::size_t>(n);
-    }
-    return;
-  }
-#else
-  (void)ctx;
-#endif
 }
 
 void TimeseriesSampler::writeStatus(const HeartbeatSnapshot& s,

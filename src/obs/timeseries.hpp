@@ -41,9 +41,11 @@
 // read it at any instant without tearing.
 //
 // Zero-cost contract: no sampler object exists unless a flag asked for
-// one, and under -DRVSYM_DISABLE_TRACING (RVSYM_OBS_NO_TRACING)
-// start() fails with a "tracing compiled out" error so CLIs reject the
-// flags cleanly — the same compile-out story as RVSYM_TRACE.
+// one.
+//
+// A stream whose producer died before stop() ends without ts_final;
+// loadTimeseries keeps its samples and reports the missing footer (and
+// a torn last line, if any).
 #pragma once
 
 #include <atomic>
@@ -95,8 +97,8 @@ class TimeseriesSampler {
   ~TimeseriesSampler();
 
   /// Opens the stream, writes the ts_header record and starts the
-  /// sampling thread. False (and *error) on I/O failure or when tracing
-  /// is compiled out; the sampler is then inert.
+  /// sampling thread. False (and *error) on I/O failure; the sampler is
+  /// then inert.
   bool start(std::string* error = nullptr);
 
   /// Takes one final sample, appends the ts_final record, joins the
@@ -114,35 +116,21 @@ class TimeseriesSampler {
                                 MetricsRegistry* registry,
                                 std::uint64_t seq);
   /// The deterministic closing record (t_/qc_ fields are the only
-  /// timing-dependent ones). `abnormal` adds "t_abnormal":true — the
-  /// crash-flush variant, so analyze can tell a crashed stream's
-  /// salvaged footer from a clean shutdown.
+  /// timing-dependent ones).
   static std::string finalJson(const HeartbeatSnapshot& s,
                                const std::string& kind, double t_s,
-                               std::uint64_t samples, bool abnormal = false);
+                               std::uint64_t samples);
 
  private:
   void threadMain();
   HeartbeatSnapshot snapshotNow();
   void tick(std::uint64_t seq);
   void writeStatus(const HeartbeatSnapshot& s, std::uint64_t seq);
-  void publishCrashRecord(const HeartbeatSnapshot& s);
-  static void crashFlush(void* ctx, bool fatal);
 
   TimeseriesOptions opts_;
   MetricsRegistry& registry_;
   Decorate decorate_;
   std::FILE* stream_ = nullptr;
-  // Crash-hook flush: every tick republishes an abnormal ts_final
-  // record into crash_buf_ under a seqlock (crash_ver_ odd = writing);
-  // a flightrec crash writer appends it to stream_fd_ from signal
-  // context, so a crashed run's stream still closes with a footer.
-  int stream_fd_ = -1;
-  int crash_writer_id_ = -1;
-  std::atomic<std::uint32_t> crash_ver_{0};
-  std::atomic<std::uint32_t> crash_len_{0};
-  static constexpr std::size_t kCrashBufBytes = 4096;
-  std::atomic<char> crash_buf_[kCrashBufBytes];
   std::chrono::steady_clock::time_point start_time_;
   std::atomic<std::uint64_t> samples_{0};
   bool running_ = false;

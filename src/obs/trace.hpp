@@ -19,9 +19,7 @@
 // the exploration tree from the stable path ids: the root path is 0 and
 // every fork line names its parent.
 //
-// Cost model: with a null sink every trace macro is one pointer test;
-// compiling with RVSYM_OBS_NO_TRACING removes the calls entirely (the
-// benches' "tracing disabled" configuration).
+// Cost model: with a null sink every trace macro is one pointer test.
 #pragma once
 
 #include <cstdint>
@@ -120,17 +118,11 @@ class BufferTraceSink final : public TraceSink {
 
 }  // namespace rvsym::obs
 
-// Compile-time gate: building with -DRVSYM_OBS_NO_TRACING compiles every
-// RVSYM_TRACE call site to nothing (the event expression is never
-// evaluated). Default builds keep tracing available behind a null-sink
-// test — one predicted branch when disabled at runtime.
-#ifdef RVSYM_OBS_NO_TRACING
-#define RVSYM_TRACE(sink_ptr, event_expr) ((void)0)
-#else
+// Emits `event_expr` to the sink, if any; the event expression is not
+// evaluated when the sink is null (one predicted branch).
 #define RVSYM_TRACE(sink_ptr, event_expr)                 \
   do {                                                    \
     if (::rvsym::obs::TraceSink* _rvsym_s = (sink_ptr)) { \
       _rvsym_s->emit(event_expr);                         \
     }                                                     \
   } while (0)
-#endif

@@ -80,7 +80,7 @@ struct Daemon::Impl {
   bool compacted_since_idle = false;
   unsigned worker_seq = 0;
 
-  // ---- fleet observability (DESIGN.md §14) ------------------------------
+  // ---- fleet observability (DESIGN.md §13) ------------------------------
 
   obs::MetricsRegistry self;   ///< the daemon's own instruments
   fleet::FleetAggregator agg;  ///< worker id -> latest shipped snapshot
@@ -248,7 +248,6 @@ struct Daemon::Impl {
         ::close(worker_fd);
       });
     } else {
-      cfg.crash_dir = options.crash_dir;
       const pid_t pid = ::fork();
       if (pid < 0) {
         if (error) *error = "fork failed";

@@ -4,8 +4,7 @@
 // every client connection, and one socket per worker. Workers are the
 // only place judging happens — by default each is a forked child
 // process running workerMain() (a judging crash kills the child, the
-// daemon sees a dead socket, bundles were already written by the
-// worker's own forensics session, and the job is marked failed), or an
+// daemon sees a dead socket, and the job is marked failed), or an
 // in-process thread in `thread_workers` mode (tests, TSan).
 //
 // Durability: the JobStore journal is appended and flushed per unit
@@ -35,7 +34,6 @@ struct DaemonOptions {
   Endpoint endpoint;
   std::string state_dir;          ///< job store root (required)
   std::string cache_dir;          ///< persistent cache store ("" = none)
-  std::string crash_dir;          ///< workers' forensics bundles ("" = off)
   /// Optional second listen endpoint answering plain HTTP GETs with the
   /// Prometheus text exposition, so external scrapers never need the
   /// frame protocol. Unset = off.
@@ -45,7 +43,7 @@ struct DaemonOptions {
   /// spans_report batches — for `rvsym-report trace-events --merge`.
   std::string trace_dir;
   /// Append one rvsym-runs-v1 record per finalized job to
-  /// <state_dir>/runs.rvhx (DESIGN.md §14).
+  /// <state_dir>/runs.rvhx (DESIGN.md §13).
   bool history = true;
   unsigned workers = 2;
   unsigned engine_jobs = 1;       ///< exploration threads per hunt

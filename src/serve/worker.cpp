@@ -14,7 +14,6 @@
 #include "mut/campaign.hpp"
 #include "mut/space.hpp"
 #include "obs/bundle.hpp"
-#include "obs/flightrec/crashdump.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_events.hpp"
@@ -159,7 +158,7 @@ void runUnit(const JobSpec& spec, const std::string& unit,
 
 /// One metrics_report frame: the full registry snapshot (cumulative
 /// over the worker's lifetime — the daemon keeps the latest per worker
-/// and sums across workers, DESIGN.md §14).
+/// and sums across workers, DESIGN.md §13).
 bool sendMetricsReport(int fd, WorkerState& state, const WorkerConfig& config,
                        const std::string& job, std::uint64_t shard) {
   obs::JsonWriter w;
@@ -222,23 +221,9 @@ int workerMain(int fd, const WorkerConfig& config) {
     loaded = state.store->load(&state.qcache, &state.cexcache);
   }
 
-  // Process mode: a judging crash dumps a flight-recorder bundle, then
-  // the dead socket tells the daemon to fail the job — the daemon
-  // itself never sees the signal.
-  obs::flightrec::ForensicsSession forensics;
-  if (!config.crash_dir.empty()) {
-    obs::flightrec::ForensicsOptions fo;
-    fo.crash_dir = config.crash_dir;
-    fo.tool = "rvsym-serve-worker";
-    std::string err;
-    if (forensics.install(fo, &err)) {
-      obs::flightrec::setForensicsMetrics(&state.registry);
-      obs::flightrec::setThreadName("serve-worker");
-    } else {
-      std::fprintf(stderr, "serve-worker: forensics: %s\n", err.c_str());
-    }
-  }
-
+  // Process mode: a judging crash kills only this worker; the dead
+  // socket tells the daemon to fail the job — the daemon itself never
+  // sees the signal.
   unsigned crash_after = config.fail_after_units;
   bool crash_hard = false;
   if (const char* env = std::getenv("RVSYM_SERVE_CRASH_AFTER_UNITS")) {
@@ -319,8 +304,8 @@ int workerMain(int fd, const WorkerConfig& config) {
       ++units_done;
       if (crash_after != 0 && units_done >= crash_after) {
         // Deterministic mid-shard death for the resilience tests: a
-        // real fatal signal in process mode (forensics bundles it), a
-        // dropped connection in thread mode.
+        // real fatal signal in process mode, a dropped connection in
+        // thread mode.
         if (crash_hard) std::raise(SIGSEGV);
         ::close(fd);
         return 3;

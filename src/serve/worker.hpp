@@ -5,9 +5,8 @@
 // shard the worker runs (mutants replay near-identical decode
 // cascades, so cross-job verdict reuse is the service's whole point),
 // a metrics registry whose solver.check_us histogram counts the real
-// SAT solves behind each unit, and — in process mode — an armed crash
-// forensics session so a judging crash produces a bundle and a dead
-// socket, not a dead daemon.
+// SAT solves behind each unit. In process mode a judging crash kills
+// only the worker: the daemon sees a dead socket, not a signal.
 //
 // workerMain() speaks rvsym-serve-v1 over a single fd; it is the body
 // of both deployment shapes: `rvsym-serve worker` child processes
@@ -22,7 +21,6 @@ namespace rvsym::serve {
 struct WorkerConfig {
   std::string cache_dir;  ///< persistent cache store ("" = none)
   std::string tag;        ///< cache-store segment tag (unique per worker)
-  std::string crash_dir;  ///< arm crash forensics ("" = off / thread mode)
   unsigned engine_jobs = 1;  ///< exploration threads per hunt
   /// Test hook: after this many units, simulate a judging crash by
   /// closing the connection (thread mode) instead of raising a fatal

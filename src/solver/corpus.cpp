@@ -88,36 +88,6 @@ std::string formatQuery(const CorpusQuery& q) {
   return out;
 }
 
-std::string formatQueryBounded(const std::vector<expr::ExprRef>& constraints,
-                               const expr::ExprRef& assumption,
-                               std::size_t max_body_bytes) {
-  std::vector<expr::ExprRef> roots = constraints;
-  if (assumption) roots.push_back(assumption);
-  const std::optional<expr::BoundedNodes> body =
-      expr::serializeNodesBounded(roots, max_body_bytes);
-  if (!body) return {};
-
-  std::string out;
-  out.reserve(body->text.size() + 160);
-  out += kMagic;
-  out += '\n';
-  out += "verdict unknown\n";
-  out += "sat_us 0\n";
-  out += "bitblast_us 0\n";
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "nodes %llu\n",
-                static_cast<unsigned long long>(body->nodes));
-  out += buf;
-  std::snprintf(buf, sizeof buf, "constraints %zu\n", constraints.size());
-  out += buf;
-  std::snprintf(buf, sizeof buf, "assume %d\n", assumption ? 1 : 0);
-  out += buf;
-  out += '\n';
-  out += body->text;
-  if (body->truncated) out += "; truncated\n";
-  return out;
-}
-
 std::optional<CorpusQuery> parseQuery(expr::ExprBuilder& eb,
                                       std::string_view text,
                                       std::string* error) {

@@ -61,18 +61,6 @@ std::uint64_t countUniqueNodes(const std::vector<expr::ExprRef>& roots);
 /// (unserializable variable name).
 std::string formatQuery(const CorpusQuery& q);
 
-/// Size-bounded rvsym-query-v1 render for the crash-forensics in-flight
-/// slot, which truncates to a fixed capacity anyway: serialization work
-/// stops once the body reaches `max_body_bytes` instead of walking the
-/// whole DAG. The header's `nodes` field counts the nodes actually
-/// serialized; a truncated document ends with a "; truncated" line and
-/// carries no "root" trailer. Pre-solve there is no verdict or timing,
-/// so those header fields render as unknown/zero. Empty string on
-/// failure (unserializable variable name).
-std::string formatQueryBounded(const std::vector<expr::ExprRef>& constraints,
-                               const expr::ExprRef& assumption,
-                               std::size_t max_body_bytes);
-
 /// Parses an rvsym-query-v1 document into `eb`.
 std::optional<CorpusQuery> parseQuery(expr::ExprBuilder& eb,
                                       std::string_view text,

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <unordered_set>
 
-#include "obs/flightrec/ring.hpp"
 #include "solver/corpus.hpp"
 #include "solver/telemetry.hpp"
 
@@ -378,13 +377,6 @@ CheckResult PathSolver::check(const expr::ExprRef& assumption,
   }
   assumps.push_back(a);
 
-  // Crash forensics: note the solve on the flight recorder and publish
-  // the full query text so a crash bundle names the query that was on
-  // the SAT solver (both no-ops unless forensics is installed).
-  obs::flightrec::emit(obs::flightrec::EventKind::SolverBegin, key.lo, key.hi,
-                       constraints_.size(), "check");
-  if (telemetry_) telemetry_->captureInFlight(constraints_, assumption, key);
-
   const std::uint64_t solve_us_before = stats_.solve_us;
   SatSolver::Result sr;
   {
@@ -478,10 +470,6 @@ CheckResult PathSolver::check(const expr::ExprRef& assumption,
       break;
   }
 
-  if (telemetry_) telemetry_->clearInFlight();
-  obs::flightrec::emit(obs::flightrec::EventKind::SolverEnd, key.lo,
-                       static_cast<std::uint64_t>(verdict),
-                       stats_.solve_us - solve_us_before, "check");
 
   if (telemetry_) {
     SolverTelemetry::Query q;
@@ -555,14 +543,6 @@ CheckResult PathSolver::checkPath(std::uint64_t max_conflicts) {
     for (const std::size_t idx : solved_conjuncts)
       assumps.push_back(conj_lits_[idx]);
   }
-  const CanonHash path_key = hashingConstraints()
-                                 ? canonQueryKey(constraint_set_hash_,
-                                                 CanonHash{})
-                                 : CanonHash{};
-  obs::flightrec::emit(obs::flightrec::EventKind::SolverBegin, path_key.lo,
-                       path_key.hi, constraints_.size(), "path");
-  if (telemetry_) telemetry_->captureInFlight(constraints_, nullptr, path_key);
-
   const std::uint64_t solve_us_before = stats_.solve_us;
   SatSolver::Result sr;
   {
@@ -570,15 +550,6 @@ CheckResult PathSolver::checkPath(std::uint64_t max_conflicts) {
     ++stats_.sat_solves;
     sr = sat_.solve(assumps, max_conflicts);
   }
-  if (telemetry_) telemetry_->clearInFlight();
-  obs::flightrec::emit(obs::flightrec::EventKind::SolverEnd, path_key.lo,
-                       static_cast<std::uint64_t>(
-                           sr == SatSolver::Result::Sat
-                               ? CheckResult::Sat
-                               : sr == SatSolver::Result::Unsat
-                                     ? CheckResult::Unsat
-                                     : CheckResult::Unknown),
-                       stats_.solve_us - solve_us_before, "path");
   CheckResult verdict;
   switch (sr) {
     case SatSolver::Result::Sat:

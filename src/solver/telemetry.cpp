@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <fstream>
 
-#include "obs/flightrec/ring.hpp"
 #include "obs/trace_events.hpp"
 #include "solver/corpus.hpp"
 
@@ -111,34 +110,6 @@ bool SolverTelemetry::dump(const Query& q,
   if (!writeFile(base + ".cnf", dimacs)) return false;
   dumped_.fetch_add(1, std::memory_order_relaxed);
   return true;
-}
-
-void SolverTelemetry::captureInFlight(
-    const std::vector<expr::ExprRef>& constraints,
-    const expr::ExprRef& assumption, const CanonHash& key) {
-#ifndef RVSYM_OBS_NO_TRACING
-  if (!inFlightCapture()) return;
-  // The payload lands in this thread's InFlightSlot, which truncates to
-  // its fixed capacity — so bound the serialization work by that
-  // capacity instead of walking the whole constraint DAG per solve, and
-  // skip the render entirely when the thread has no ring to publish to.
-  obs::flightrec::ThreadRing* ring = obs::flightrec::currentRing();
-  if (ring == nullptr) return;
-  const std::string text = formatQueryBounded(constraints, assumption,
-                                              ring->inflight().capacity());
-  if (text.empty()) return;
-  ring->inflight().set(text.data(), text.size(), key.lo, key.hi);
-#else
-  (void)constraints;
-  (void)assumption;
-  (void)key;
-#endif
-}
-
-void SolverTelemetry::clearInFlight() {
-#ifndef RVSYM_OBS_NO_TRACING
-  if (inFlightCapture()) obs::flightrec::inflightClear();
-#endif
 }
 
 const char* dispositionName(SolverTelemetry::Disposition d) {

@@ -96,25 +96,6 @@ class SolverTelemetry {
   bool dump(const Query& q, const std::vector<expr::ExprRef>& constraints,
             const expr::ExprRef& assumption, const std::string& dimacs);
 
-  /// In-flight query capture (crash forensics, DESIGN.md §12): when
-  /// enabled, PathSolver serializes each query it is about to hand to
-  /// the SAT solver — rvsym-query-v1, the same format as the slow-query
-  /// corpus — into the calling thread's flight-recorder slot, so a
-  /// crash bundle contains the exact query that was being solved.
-  /// Compiled out (and a no-op) under RVSYM_OBS_NO_TRACING.
-  void enableInFlightCapture(bool on) {
-    capture_inflight_.store(on, std::memory_order_relaxed);
-  }
-  bool inFlightCapture() const {
-    return capture_inflight_.load(std::memory_order_relaxed);
-  }
-  /// Publishes the query the caller is about to solve (null assumption =
-  /// whole-path feasibility check).
-  void captureInFlight(const std::vector<expr::ExprRef>& constraints,
-                       const expr::ExprRef& assumption, const CanonHash& key);
-  /// Marks the solve finished (nothing in flight).
-  void clearInFlight();
-
   const Options& options() const { return opts_; }
   std::uint64_t queries() const {
     return queries_.load(std::memory_order_relaxed);
@@ -128,7 +109,6 @@ class SolverTelemetry {
 
  private:
   Options opts_;
-  std::atomic<bool> capture_inflight_{false};
   std::atomic<std::uint64_t> queries_{0};
   std::atomic<std::uint64_t> slow_{0};
   std::atomic<std::uint64_t> dumped_{0};

@@ -12,7 +12,6 @@
 #include <thread>
 #include <utility>
 
-#include "obs/flightrec/ring.hpp"
 #include "obs/heartbeat.hpp"
 #include "obs/json.hpp"
 #include "solver/cexcache.hpp"
@@ -353,7 +352,6 @@ void executeTask(Shared& sh, std::unique_lock<std::mutex>& lk, Task& task,
   lk.unlock();
   PathOutcome out;
   std::exception_ptr error;
-  obs::flightrec::busyBegin();
   try {
     out = executePath(ws.program, *ws.builder, task.prefix, ws.limits,
                       options);
@@ -361,7 +359,6 @@ void executeTask(Shared& sh, std::unique_lock<std::mutex>& lk, Task& task,
   } catch (...) {
     error = std::current_exception();
   }
-  obs::flightrec::busyEnd();
   lk.lock();
   task.outcome = std::move(out);
   task.error = error;
@@ -370,12 +367,6 @@ void executeTask(Shared& sh, std::unique_lock<std::mutex>& lk, Task& task,
 }
 
 void workerMain(Shared& sh, WorkerState& ws, const EngineOptions& options) {
-  // Crash forensics: claim a flight-recorder ring for the thread's
-  // lifetime (released on exit so campaigns that spin engines up and
-  // down don't exhaust the slot table).
-  char fr_name[16];
-  std::snprintf(fr_name, sizeof fr_name, "exec%u", ws.index);
-  const obs::flightrec::ScopedThread fr_thread(fr_name);
   std::unique_lock<std::mutex> lk(sh.mu);
   for (;;) {
     if (sh.stop) return;
@@ -502,8 +493,6 @@ EngineReport Engine::run(const ProgramFactory& factory) {
   Shared sh;
   sh.worklist.push_back(std::make_shared<Task>(0, std::vector<bool>{}));
   std::uint64_t next_path_id = 1;
-  std::uint64_t committed_qc_hits = 0;
-  std::uint64_t committed_qc_misses = 0;
   std::uint32_t rng_state =
       options_.random_seed == 0 ? 1 : options_.random_seed;
 
@@ -636,8 +625,11 @@ EngineReport Engine::run(const ProgramFactory& factory) {
       }
       if (out.record.has_test) ++report.test_vectors;
 
-      committed_qc_hits += out.qc_hits;
-      committed_qc_misses += out.qc_misses;
+      // Committed paths only: a cache's own totals would also count
+      // speculatively executed paths that were never committed and, for
+      // a shared cache, other runs' traffic.
+      report.qcache_hits += out.qc_hits;
+      report.qcache_misses += out.qc_misses;
       RVSYM_TRACE(options_.trace,
                   makePathEndEvent(task->id, out.record, out.stats.forks,
                                    out.solver_checks, out.times)
@@ -649,10 +641,6 @@ EngineReport Engine::run(const ProgramFactory& factory) {
                       .num("qc_worker",
                            static_cast<std::uint64_t>(out.worker)));
       progress.commit(out.record, out.worker);
-      obs::flightrec::emit(obs::flightrec::EventKind::PathCommit, task->id,
-                           static_cast<std::uint64_t>(out.record.end),
-                           out.stats.instructions,
-                           pathEndName(out.record.end));
 
       const bool is_error = out.record.end == PathEnd::Error;
       const bool store = is_error || options_.max_stored_paths == 0 ||
@@ -672,24 +660,6 @@ EngineReport Engine::run(const ProgramFactory& factory) {
   shutdown();
 
   report.seconds = elapsed();
-  if (cache) {
-    if (options_.shared_cache) {
-      // Externally shared cache: concurrent runs (campaign hunts) pound
-      // the same global counters, so its totals would lump other runs'
-      // traffic into this report. The per-path counters captured at
-      // execution time are attributed to the run whose solver issued
-      // the lookups — sum the committed outcomes instead.
-      report.qcache_hits = committed_qc_hits;
-      report.qcache_misses = committed_qc_misses;
-    } else {
-      // Run-private cache: its totals additionally count speculatively
-      // executed paths that were never committed (see the EngineReport
-      // contract).
-      const solver::QueryCache::Stats cs = cache->stats();
-      report.qcache_hits = cs.hits;
-      report.qcache_misses = cs.misses;
-    }
-  }
   RVSYM_TRACE(options_.trace,
               obs::TraceEvent("run_end")
                   .num("paths", report.totalPaths())

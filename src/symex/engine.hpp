@@ -160,9 +160,7 @@ struct PathRecord {
 //   * `seconds`           — wall clock;
 //   * `qcache_hits`,
 //     `qcache_misses`     — which worker wins the race to solve a query
-//                           decides hit vs. miss, and totals include
-//                           speculatively executed paths that a budget
-//                           or stop-on-error run later discards.
+//                           decides hit vs. miss.
 // Everything else (path counts, instructions, branches, decision-stage
 // counters, solver_checks, test_vectors, the per-path records including
 // their test vectors) is deterministic; tests and the scaling bench
@@ -184,10 +182,10 @@ struct EngineReport {
   std::uint64_t knownbits_decided = 0;
   std::uint64_t solver_decided = 0;
   std::uint64_t solver_checks = 0;
-  /// Cross-path query-cache traffic (0 when a solver conflict budget
-  /// disables the cache; totals include speculatively executed paths,
-  /// so — like `seconds` — they are exact but timing-dependent, unlike
-  /// every other counter here).
+  /// Cross-path query-cache traffic of the committed paths: the sums
+  /// of their path_end qc_hits/qc_misses (0 when a solver conflict
+  /// budget disables the cache; like `seconds`, timing-dependent at
+  /// jobs > 1, unlike every other counter here).
   std::uint64_t qcache_hits = 0;
   std::uint64_t qcache_misses = 0;
   bool stopped_early = false;

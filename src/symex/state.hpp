@@ -153,8 +153,7 @@ class ExecState {
   // --- Observability ----------------------------------------------------------
   /// True iff the engine wants path-local trace events buffered. Use the
   /// RVSYM_TRACE_PATH macro rather than calling traceEvent directly so
-  /// event construction is skipped when tracing is off (and compiled out
-  /// entirely under RVSYM_OBS_NO_TRACING).
+  /// event construction is skipped when tracing is off.
   bool tracingEnabled() const { return limits_.trace_path_events; }
   /// Phase profiler for this run (null when profiling is off) — the
   /// co-simulation opens its "rtl"/"iss"/"voter" phases against this.
@@ -232,15 +231,10 @@ class ExecState {
 }  // namespace rvsym::symex
 
 /// Buffers a path-local trace event iff the engine enabled tracing for
-/// this run; `event_expr` is not evaluated otherwise. Compiled out by
-/// RVSYM_OBS_NO_TRACING.
-#ifdef RVSYM_OBS_NO_TRACING
-#define RVSYM_TRACE_PATH(state, event_expr) ((void)0)
-#else
+/// this run; `event_expr` is not evaluated otherwise.
 #define RVSYM_TRACE_PATH(state, event_expr)              \
   do {                                                   \
     if ((state).tracingEnabled()) {                      \
       (state).traceEvent(event_expr);                    \
     }                                                    \
   } while (0)
-#endif

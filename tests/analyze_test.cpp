@@ -204,13 +204,11 @@ TEST(CoverageMap, ParsesSerializedTestVectors) {
 }
 
 // ---------------------------------------------------------------------------
-// Round trip against a real engine run (the acceptance criteria). These
-// need a live trace, so they vanish when the event sites are compiled
-// out with -DRVSYM_DISABLE_TRACING=ON.
-#ifndef RVSYM_OBS_NO_TRACING
+// Round trip against a real engine run (the acceptance criteria).
 
 core::SessionReport runFaultScenario(unsigned jobs, obs::TraceSink* trace,
-                                     obs::MetricsRegistry* metrics) {
+                                     obs::MetricsRegistry* metrics,
+                                     bool stop_on_error = false) {
   expr::ExprBuilder eb;
   core::SessionOptions opts;
   opts.cosim.rtl = rtl::fixedRtlConfig();
@@ -224,7 +222,7 @@ core::SessionReport runFaultScenario(unsigned jobs, obs::TraceSink* trace,
   for (const fault::InjectedError& e : fault::allErrors())
     if (std::string(e.id) == "E5") e.apply(opts.cosim);
   opts.engine.max_paths = 60;
-  opts.engine.stop_on_error = false;
+  opts.engine.stop_on_error = stop_on_error;
   opts.engine.jobs = jobs;
   opts.engine.trace = trace;
   opts.engine.metrics = metrics;
@@ -271,6 +269,37 @@ TEST(RoundTrip, SolverTimeAttributionSumsToRegistryTotal) {
   const std::uint64_t registry_us =
       metrics.histogram("solver.check_us").sumMicros();
   EXPECT_EQ(tree_us, registry_us);
+}
+
+TEST(RoundTrip, QcacheByWorkerSumsToRunEndAtJobs4) {
+  // At jobs > 1 workers execute paths speculatively, and stopping at the
+  // first error discards the ones past it; the run totals must count the
+  // committed paths only, as the per-path path_end fields do.
+  obs::BufferTraceSink trace;
+  const core::SessionReport report =
+      runFaultScenario(4, &trace, nullptr, /*stop_on_error=*/true);
+  ASSERT_TRUE(report.engine.stopped_early);
+
+  const auto tree = PathTree::fromTraceLines(trace.lines());
+  ASSERT_TRUE(tree.has_value());
+  std::uint64_t hits = 0, misses = 0;
+  for (const auto& [worker, hm] : tree->qcacheByWorker()) {
+    hits += hm.first;
+    misses += hm.second;
+  }
+  EXPECT_GT(misses, 0u);
+
+  std::optional<JsonValue> run_end;
+  for (const std::string& line : trace.lines()) {
+    auto v = parseJson(line);
+    ASSERT_TRUE(v.has_value()) << line;
+    if (v->getString("ev") == "run_end") run_end = std::move(v);
+  }
+  ASSERT_TRUE(run_end.has_value());
+  EXPECT_EQ(run_end->getU64("qc_hits").value_or(~0ULL), hits);
+  EXPECT_EQ(run_end->getU64("qc_misses").value_or(~0ULL), misses);
+  EXPECT_EQ(report.engine.qcache_hits, hits);
+  EXPECT_EQ(report.engine.qcache_misses, misses);
 }
 
 TEST(RoundTrip, CoverageFromTraceMatchesCoverageFromReport) {
@@ -366,7 +395,5 @@ TEST(RoundTrip, HtmlReportEmbedsCoverageData) {
   ASSERT_NE(cells, nullptr);
   EXPECT_EQ(cells->getU64("total"), 48u);
 }
-
-#endif  // RVSYM_OBS_NO_TRACING
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Fleet observability plane tests (DESIGN.md §14): histogram bucket
+// Fleet observability plane tests (DESIGN.md §13): histogram bucket
 // merge vs pooled-sample quantiles, registry snapshot round-trips, the
 // FleetAggregator merge semantics, Prometheus exposition edge cases
 // (label escaping, +Inf/_sum/_count consistency, byte-stable repeat

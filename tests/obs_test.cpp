@@ -240,7 +240,6 @@ TEST(Trace, JsonlSinkRoundTripsThroughFile) {
   std::remove(path.c_str());
 }
 
-#ifndef RVSYM_OBS_NO_TRACING
 TEST(Trace, MacroSkipsEventConstructionOnNullSink) {
   int evaluations = 0;
   const auto make = [&evaluations] {
@@ -255,7 +254,6 @@ TEST(Trace, MacroSkipsEventConstructionOnNullSink) {
   EXPECT_EQ(evaluations, 1);
   EXPECT_EQ(buf.lines().size(), 1u);
 }
-#endif
 
 // --- Engine trace determinism ---------------------------------------------
 
@@ -280,7 +278,6 @@ void traceProgram(symex::ExecState& st) {
   }
 }
 
-#ifndef RVSYM_OBS_NO_TRACING
 std::string runTraced(unsigned jobs) {
   BufferTraceSink sink;
   symex::EngineOptions opts;
@@ -337,7 +334,6 @@ TEST(TraceDeterminism, ForkTreeReconstructs) {
   }
   EXPECT_GT(known.size(), 1u);
 }
-#endif  // RVSYM_OBS_NO_TRACING
 
 TEST(EngineMetrics, RegistrySeesSolverAndCommitActivity) {
   MetricsRegistry registry;
@@ -462,12 +458,6 @@ TEST(TimeseriesSampler, SamplesConcurrentlyWithRegistryWriters) {
   opts.total_work = 1000;
   TimeseriesSampler sampler(opts, r);
   std::string err;
-#ifdef RVSYM_OBS_NO_TRACING
-  // The compile-out contract: start() refuses and names the cause.
-  EXPECT_FALSE(sampler.start(&err));
-  EXPECT_NE(err.find("tracing compiled out"), std::string::npos) << err;
-  return;
-#endif
   ASSERT_TRUE(sampler.start(&err)) << err;
 
   // Writers hammer the exact instruments the sampler snapshots while it

@@ -62,72 +62,6 @@ TEST(Corpus, FormatParseRoundTripPreservesQuery) {
   EXPECT_EQ(solver::formatQuery(*back), text);
 }
 
-TEST(Corpus, BoundedFormatWithRoomMatchesUnboundedBody) {
-  ExprBuilder eb;
-  const CorpusQuery q = sampleQuery(eb);
-  const std::string full = solver::formatQuery(q);
-  const std::string bounded =
-      solver::formatQueryBounded(q.constraints, q.assumption, 1 << 20);
-  ASSERT_FALSE(bounded.empty());
-  EXPECT_EQ(bounded.find("; truncated"), std::string::npos);
-
-  // Same body (everything after the blank header separator) — only the
-  // verdict/timing header fields differ, since nothing has solved yet.
-  const std::size_t full_body = full.find("\n\n");
-  const std::size_t bounded_body = bounded.find("\n\n");
-  ASSERT_NE(full_body, std::string::npos);
-  ASSERT_NE(bounded_body, std::string::npos);
-  EXPECT_EQ(bounded.substr(bounded_body), full.substr(full_body));
-  EXPECT_NE(bounded.find("verdict unknown\n"), std::string::npos);
-
-  // A complete bounded render is a parseable rvsym-query-v1 document.
-  ExprBuilder eb2;
-  std::string err;
-  const auto back = solver::parseQuery(eb2, bounded, &err);
-  ASSERT_TRUE(back.has_value()) << err;
-  EXPECT_EQ(back->constraints.size(), q.constraints.size());
-}
-
-TEST(Corpus, BoundedFormatStopsSerializingAtTheBudget) {
-  ExprBuilder eb;
-  ExprRef acc = eb.variable("x", 32);
-  for (int i = 0; i < 4096; ++i)
-    acc = eb.add(acc, eb.variable("y" + std::to_string(i), 32));
-  const std::vector<ExprRef> constraints = {
-      eb.eq(acc, eb.constant(0, 32))};
-
-  constexpr std::size_t kBudget = 512;
-  const std::string bounded =
-      solver::formatQueryBounded(constraints, nullptr, kBudget);
-  ASSERT_FALSE(bounded.empty());
-  EXPECT_NE(bounded.find("; truncated\n"), std::string::npos);
-  // Budget + one final line + header, nowhere near the full DAG's text.
-  EXPECT_LT(bounded.size(), kBudget + 256);
-  EXPECT_EQ(bounded.find("\nroot "), std::string::npos);
-
-  const std::string full = solver::formatQuery(
-      [&] {
-        CorpusQuery q;
-        q.constraints = constraints;
-        return q;
-      }());
-  EXPECT_GT(full.size(), 8 * kBudget);
-}
-
-TEST(ExprSerialize, BoundedMatchesUnboundedWhenUnderBudget) {
-  ExprBuilder eb;
-  const ExprRef x = eb.variable("x", 32);
-  const std::vector<ExprRef> roots = {eb.ult(x, eb.constant(10, 32)),
-                                      eb.ugt(x, eb.constant(3, 32))};
-  const auto full = expr::serializeNodes(roots);
-  const auto bounded = expr::serializeNodesBounded(roots, 1 << 20);
-  ASSERT_TRUE(full.has_value());
-  ASSERT_TRUE(bounded.has_value());
-  EXPECT_FALSE(bounded->truncated);
-  EXPECT_EQ(bounded->text, *full);
-  EXPECT_GT(bounded->nodes, 0u);
-}
-
 TEST(Corpus, ReplayReproducesRecordedVerdicts) {
   {
     ExprBuilder eb;

@@ -53,6 +53,11 @@ struct RoundTrip {
   std::int32_t imm;
 };
 
+// Without a printer gtest shows the raw bytes of the case, `name`'s
+// address included, in the listed test names; that address moves with
+// every load of the binary, so the listed names would too.
+void PrintTo(const RoundTrip& t, std::ostream* os) { *os << t.name; }
+
 class EncodeDecodeRoundTrip : public ::testing::TestWithParam<RoundTrip> {};
 
 TEST_P(EncodeDecodeRoundTrip, DecodesBack) {

@@ -774,7 +774,7 @@ TEST(ServeE2E, CancelQueuedJobFinalizesCancelled) {
   EXPECT_TRUE(requestOnce(d.endpoint(), "{\"cmd\":\"ping\"}").has_value());
 }
 
-// --- Fleet observability (DESIGN.md §14) --------------------------------------------------
+// --- Fleet observability (DESIGN.md §13) --------------------------------------------------
 
 TEST(ServeE2E, MetricsExpositionMatchesJournalAndIsByteStable) {
   DaemonHarness d;

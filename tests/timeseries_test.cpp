@@ -107,9 +107,6 @@ TEST(TimeseriesRoundTrip, FinalJsonSplitsDeterministicFromTiming) {
 }
 
 TEST(TimeseriesRoundTrip, SamplerStreamLoadsAndDiffsAsParity) {
-#ifdef RVSYM_OBS_NO_TRACING
-  GTEST_SKIP() << "sampler compiled out (RVSYM_DISABLE_TRACING)";
-#endif
   MetricsRegistry reg;
   reg.counter("engine.paths_committed").add(25);
   reg.counter("engine.paths_completed").add(25);
@@ -159,6 +156,64 @@ TEST(TimeseriesRoundTrip, SamplerStreamLoadsAndDiffsAsParity) {
   std::remove(path_b.c_str());
 }
 
+TEST(TimeseriesInterrupted, StreamWithoutFinalKeepsSamplesAndReportsTornTail) {
+  // A producer killed mid-run leaves the header and the samples it
+  // flushed, no ts_final, and possibly half of the record it was
+  // writing.
+  MetricsRegistry reg;
+  reg.counter("engine.paths_committed").add(12);
+  std::string body =
+      "{\"ev\":\"ts_header\",\"schema\":\"rvsym-timeseries-v1\","
+      "\"version\":1,\"kind\":\"mutate\",\"interval_s\":0.5,"
+      "\"total_work\":10}\n";
+  for (std::uint64_t seq = 0; seq < 3; ++seq) {
+    HeartbeatSnapshot s = campaignSnapshot();
+    s.elapsed_s = 0.5 * static_cast<double>(seq + 1);
+    body += TimeseriesSampler::sampleJson(s, &reg, seq) + "\n";
+  }
+  const std::string torn_record =
+      TimeseriesSampler::sampleJson(campaignSnapshot(), &reg, 3);
+
+  const std::string closed_path =
+      ::testing::TempDir() + "ts_interrupted.jsonl";
+  const std::string torn_path = ::testing::TempDir() + "ts_torn.jsonl";
+  const auto write = [](const std::string& path, const std::string& text) {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+  };
+  write(closed_path, body);
+  write(torn_path, body + torn_record.substr(0, torn_record.size() / 2));
+
+  std::string err;
+  const auto whole = analyze::loadTimeseries(closed_path, &err);
+  ASSERT_TRUE(whole) << err;
+  EXPECT_EQ(whole->header.kind, "mutate");
+  EXPECT_EQ(whole->samples.size(), 3u);
+  EXPECT_FALSE(whole->final_record.has_value());
+  EXPECT_FALSE(whole->scan.torn_tail);
+  const std::string whole_summary = analyze::renderTimeseriesSummary(*whole);
+  EXPECT_NE(whole_summary.find("stream not closed — interrupted run?"),
+            std::string::npos)
+      << whole_summary;
+  EXPECT_EQ(whole_summary.find("torn mid-write"), std::string::npos);
+
+  const auto torn = analyze::loadTimeseries(torn_path, &err);
+  ASSERT_TRUE(torn) << err;
+  EXPECT_EQ(torn->samples.size(), 3u);
+  EXPECT_FALSE(torn->final_record.has_value());
+  EXPECT_TRUE(torn->scan.torn_tail);
+  const std::string torn_summary = analyze::renderTimeseriesSummary(*torn);
+  EXPECT_NE(torn_summary.find("stream not closed — interrupted run?"),
+            std::string::npos)
+      << torn_summary;
+  EXPECT_NE(torn_summary.find("WARNING: final line torn mid-write"),
+            std::string::npos)
+      << torn_summary;
+
+  std::remove(closed_path.c_str());
+  std::remove(torn_path.c_str());
+}
+
 TEST(TimeseriesDiff, FlagsDeterministicDivergence) {
   const auto run_with = [](std::uint64_t done) {
     HeartbeatSnapshot s;
@@ -182,9 +237,6 @@ TEST(TimeseriesDiff, FlagsDeterministicDivergence) {
 }
 
 TEST(TimeseriesStatus, StatusObjectParsesAsSingleSample) {
-#ifdef RVSYM_OBS_NO_TRACING
-  GTEST_SKIP() << "sampler compiled out (RVSYM_DISABLE_TRACING)";
-#endif
   MetricsRegistry reg;
   reg.counter("engine.paths_committed").add(3);
   const std::string status = ::testing::TempDir() + "ts_status_test.json";

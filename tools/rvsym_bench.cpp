@@ -49,8 +49,7 @@ int usage(const char* argv0) {
       "              [--repeats N] [--warmup N] [--bin-dir DIR]\n"
       "              [--out FILE] [--work-dir DIR]\n"
       "              [--timeseries-out FILE] [--status-file FILE]\n"
-      "              [--sample-interval S] [--crash-dir DIR]\n"
-      "              [--stall-timeout S]\n"
+      "              [--sample-interval S]\n"
       "       %s compare --baseline FILE [--current FILE] "
       "[--threshold PCT]\n",
       argv0, argv0, argv0);
@@ -113,10 +112,6 @@ int cmdRun(int argc, char** argv, const char* argv0) {
       opts.status_file = argv[++i];
     } else if (std::strcmp(argv[i], "--sample-interval") == 0 && i + 1 < argc) {
       opts.sample_interval_s = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--crash-dir") == 0 && i + 1 < argc) {
-      opts.crash_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--stall-timeout") == 0 && i + 1 < argc) {
-      opts.stall_timeout_s = std::atof(argv[++i]);
     } else {
       std::fprintf(stderr, "unknown run option: %s\n", argv[i]);
       return usage(argv0);
@@ -129,24 +124,6 @@ int cmdRun(int argc, char** argv, const char* argv0) {
   }
   if (opts.repeats == 0) {
     std::fprintf(stderr, "--repeats must be >= 1\n");
-    return 2;
-  }
-#ifdef RVSYM_OBS_NO_TRACING
-  if (!opts.timeseries_out.empty() || !opts.status_file.empty()) {
-    std::fprintf(stderr,
-                 "--timeseries-out/--status-file need tracing, which this "
-                 "build compiled out (RVSYM_DISABLE_TRACING)\n");
-    return 2;
-  }
-  if (!opts.crash_dir.empty() || opts.stall_timeout_s > 0) {
-    std::fprintf(stderr,
-                 "--crash-dir/--stall-timeout need crash forensics, which "
-                 "this build compiled out (RVSYM_DISABLE_TRACING)\n");
-    return 2;
-  }
-#endif
-  if (opts.stall_timeout_s > 0 && opts.crash_dir.empty()) {
-    std::fprintf(stderr, "--stall-timeout requires --crash-dir\n");
     return 2;
   }
   return bench::runSuite(opts);

@@ -30,8 +30,6 @@
 //       Compare two journals' deterministic content (t_*/qc_* fields
 //       stripped). Exit 0 when identical, 1 when different — CI asserts
 //       --jobs 1 vs --jobs 4 campaign parity with this.
-#include <atomic>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -39,17 +37,14 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "fault/faults.hpp"
 #include "mut/campaign.hpp"
 #include "mut/journal.hpp"
 #include "mut/space.hpp"
-#include "obs/analyze/crash_report.hpp"
 #include "obs/analyze/mutation_report.hpp"
 #include "obs/bundle.hpp"
-#include "obs/flightrec/crashdump.hpp"
 #include "obs/heartbeat.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -76,9 +71,7 @@ int usage() {
       "           [--no-equivalence] [--no-cache] [--solver-opt S]\n"
       "           [--timeseries-out FILE] [--status-file FILE]\n"
       "           [--sample-interval SECS] [--trace-events-out FILE]\n"
-      "           [--metrics-out FILE] [--crash-dir DIR]\n"
-      "           [--stall-timeout SECS]\n"
-      "           (resume only) [--crash-bundle DIR]\n"
+      "           [--metrics-out FILE]\n"
       "       rvsym-mutate report <journal> [--html FILE]\n"
       "           [--metrics-out FILE] [--heartbeat]\n"
       "       rvsym-mutate diff <journalA> <journalB>\n"
@@ -181,9 +174,7 @@ int cmdRun(const std::vector<std::string>& args, bool resume) {
   opts.resume = resume;
   std::string html_path, bundle_dir;
   std::string timeseries_out, status_file, trace_events_out, metrics_out;
-  std::string crash_dir, crash_bundle;
   double sample_interval = 0.5;
-  double stall_timeout = 0;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
     const auto next = [&]() -> const std::string& {
@@ -245,12 +236,6 @@ int cmdRun(const std::vector<std::string>& args, bool resume) {
       trace_events_out = next();
     } else if (a == "--metrics-out") {
       metrics_out = next();
-    } else if (a == "--crash-dir") {
-      crash_dir = next();
-    } else if (a == "--stall-timeout") {
-      stall_timeout = std::atof(next().c_str());
-    } else if (a == "--crash-bundle") {
-      crash_bundle = next();
     } else if (a == "--no-equivalence") {
       opts.check_decode_equivalence = false;
     } else if (a == "--no-cache") {
@@ -295,35 +280,10 @@ int cmdRun(const std::vector<std::string>& args, bool resume) {
     };
   }
 
-#ifdef RVSYM_OBS_NO_TRACING
-  if (!timeseries_out.empty() || !status_file.empty() ||
-      !trace_events_out.empty()) {
-    std::fprintf(stderr,
-                 "--timeseries-out/--status-file/--trace-events-out need "
-                 "tracing, which this build compiled out "
-                 "(RVSYM_DISABLE_TRACING)\n");
-    return 2;
-  }
-  if (!crash_dir.empty() || stall_timeout > 0 || !crash_bundle.empty()) {
-    std::fprintf(stderr,
-                 "--crash-dir/--stall-timeout/--crash-bundle need crash "
-                 "forensics, which this build compiled out "
-                 "(RVSYM_DISABLE_TRACING)\n");
-    return 2;
-  }
-#endif
-  if (stall_timeout > 0 && crash_dir.empty()) {
-    std::fprintf(stderr, "--stall-timeout requires --crash-dir\n");
-    return 2;
-  }
-  if (!crash_bundle.empty() && !resume) {
-    std::fprintf(stderr, "--crash-bundle only makes sense with resume\n");
-    return 2;
-  }
-  // The live surfaces (sampler, status file, crash bundles) and the
-  // --metrics-out dump all read one registry; any of them turns it on.
+  // The live surfaces (sampler, status file) and the --metrics-out dump
+  // all read one registry; any of them turns it on.
   const bool want_registry = !metrics_out.empty() || !timeseries_out.empty() ||
-                             !status_file.empty() || !crash_dir.empty();
+                             !status_file.empty();
   const bool want_spans = !trace_events_out.empty();
   obs::MetricsRegistry registry;
   if (want_registry) opts.metrics = &registry;
@@ -331,45 +291,13 @@ int cmdRun(const std::vector<std::string>& args, bool resume) {
   // Per-query solver telemetry (implies per-check solver timing, so only
   // on when a consumer exists) and phase/solver span capture.
   std::unique_ptr<solver::SolverTelemetry> telemetry;
-  if (want_registry || want_spans || !crash_dir.empty()) {
+  if (want_registry || want_spans) {
     telemetry = std::make_unique<solver::SolverTelemetry>(
         solver::SolverTelemetry::Options{});
     if (want_registry) telemetry->attachMetrics(registry);
     opts.telemetry = telemetry.get();
   }
 
-  // Crash forensics: flight recorder + fatal/SIGUSR1 handlers + stall
-  // watchdog, torn down (handlers restored, registry detached) by the
-  // RAII session before this function returns.
-  obs::flightrec::ForensicsSession forensics;
-  if (!crash_dir.empty()) {
-    obs::flightrec::ForensicsOptions fo;
-    fo.crash_dir = crash_dir;
-    fo.stall_timeout_s = stall_timeout;
-    fo.tool = "rvsym-mutate";
-    std::string err;
-    if (!forensics.install(fo, &err)) {
-      std::fprintf(stderr, "--crash-dir: %s\n", err.c_str());
-      return 2;
-    }
-    obs::flightrec::setForensicsMetrics(&registry);
-    obs::flightrec::setThreadName("campaign");
-    if (telemetry) telemetry->enableInFlightCapture(true);
-  }
-
-  // Crash test hook: RVSYM_CRASH_AFTER_MUTANTS=N raises SIGSEGV after
-  // the Nth verdict commits — CI's forensics smoke job uses it to die
-  // mid-campaign at a deterministic point.
-  if (const char* env = std::getenv("RVSYM_CRASH_AFTER_MUTANTS")) {
-    const auto limit = static_cast<std::uint64_t>(std::atoll(env));
-    auto committed = std::make_shared<std::atomic<std::uint64_t>>(0);
-    auto prev = opts.on_result;
-    opts.on_result = [prev, committed, limit](const mut::MutantResult& r) {
-      if (prev) prev(r);
-      if (committed->fetch_add(1, std::memory_order_relaxed) + 1 >= limit)
-        std::raise(SIGSEGV);
-    };
-  }
   obs::PhaseProfiler profiler;
   obs::SpanCollector spans;
   if (want_spans) {
@@ -384,58 +312,6 @@ int cmdRun(const std::vector<std::string>& args, bool resume) {
   } catch (const std::out_of_range& e) {
     std::fprintf(stderr, "rvsym-mutate: %s\n", e.what());
     return 2;
-  }
-
-  // Cross-reference a crash bundle against the journal: name the
-  // mutant(s) that were being judged when the previous run died, and
-  // confirm the resume will re-judge them. The bundle's enumeration
-  // indices are only meaningful under the same selection flags.
-  if (!crash_bundle.empty()) {
-    std::string err;
-    const auto bundle = obs::analyze::loadCrashBundle(crash_bundle, &err);
-    if (!bundle) {
-      std::fprintf(stderr, "--crash-bundle: %s\n", err.c_str());
-      return 2;
-    }
-    std::unordered_set<std::string> journal_judged;
-    if (!opts.journal_path.empty()) {
-      obs::analyze::JsonlStats scan;
-      for (std::string& id : mut::judgedMutantIds(opts.journal_path, &scan))
-        journal_judged.insert(std::move(id));
-      const std::string warn = scan.describe(opts.journal_path);
-      if (!warn.empty()) std::printf("  %s\n", warn.c_str());
-    }
-    std::printf("crash bundle %s: %s, %llu mutants judged at dump time\n",
-                crash_bundle.c_str(),
-                bundle->reason.empty() ? "?" : bundle->reason.c_str(),
-                static_cast<unsigned long long>(bundle->journal_judged));
-    const auto inflight = obs::analyze::inFlightMutants(*bundle);
-    if (inflight.empty())
-      std::printf("  no mutant was mid-judgement when the bundle was "
-                  "written\n");
-    for (const auto& m : inflight) {
-      if (m.enum_index >= mutants.size()) {
-        std::printf("  in flight: #%llu (%s…) on %s — index outside this "
-                    "selection; rerun with the crashed campaign's flags\n",
-                    static_cast<unsigned long long>(m.enum_index),
-                    m.id_prefix.c_str(), m.thread.c_str());
-        continue;
-      }
-      const std::string& id = mutants[m.enum_index].id();
-      if (id.compare(0, m.id_prefix.size(), m.id_prefix) != 0) {
-        std::printf("  in flight: #%llu (%s…) on %s — does not match %s; "
-                    "selection flags differ from the crashed campaign\n",
-                    static_cast<unsigned long long>(m.enum_index),
-                    m.id_prefix.c_str(), m.thread.c_str(), id.c_str());
-        continue;
-      }
-      std::printf("  in flight: %s (#%llu, thread %s) — %s\n", id.c_str(),
-                  static_cast<unsigned long long>(m.enum_index),
-                  m.thread.c_str(),
-                  journal_judged.count(id)
-                      ? "already in the journal, will be skipped"
-                      : "not in the journal, this resume re-judges it");
-    }
   }
 
   // Live sampler: one thread snapshotting the registry into the

@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "expr/builder.hpp"
-#include "obs/flightrec/crashdump.hpp"
 #include "obs/heartbeat.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -48,8 +47,7 @@ namespace fs = std::filesystem;
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s replay [--solver-opt S] [--metrics-out FILE]\n"
-               "                 [--heartbeat SECS] [--crash-dir DIR]\n"
-               "                 [--stall-timeout SECS] <file-or-dir>...\n"
+               "                 [--heartbeat SECS] <file-or-dir>...\n"
                "       %s shrink <file> [--out FILE]\n"
                "\n"
                "--solver-opt S: replay through the layered acceleration\n"
@@ -86,9 +84,7 @@ int cmdReplay(const std::vector<std::string>& args) {
   solver::SolverOptions sopt = solver::SolverOptions::none();
   std::vector<std::string> inputs;
   std::string metrics_out;
-  std::string crash_dir;
   double heartbeat_s = 0;
-  double stall_timeout = 0;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--solver-opt" && i + 1 < args.size()) {
       std::string err;
@@ -101,25 +97,9 @@ int cmdReplay(const std::vector<std::string>& args) {
       metrics_out = args[++i];
     } else if (args[i] == "--heartbeat" && i + 1 < args.size()) {
       heartbeat_s = std::atof(args[++i].c_str());
-    } else if (args[i] == "--crash-dir" && i + 1 < args.size()) {
-      crash_dir = args[++i];
-    } else if (args[i] == "--stall-timeout" && i + 1 < args.size()) {
-      stall_timeout = std::atof(args[++i].c_str());
     } else {
       inputs.push_back(args[i]);
     }
-  }
-#ifdef RVSYM_OBS_NO_TRACING
-  if (!crash_dir.empty() || stall_timeout > 0) {
-    std::fprintf(stderr,
-                 "--crash-dir/--stall-timeout need crash forensics, which "
-                 "this build compiled out (RVSYM_DISABLE_TRACING)\n");
-    return 2;
-  }
-#endif
-  if (stall_timeout > 0 && crash_dir.empty()) {
-    std::fprintf(stderr, "--stall-timeout requires --crash-dir\n");
-    return 2;
   }
   const std::vector<std::string> files = collectQueryFiles(inputs);
   if (files.empty()) {
@@ -153,23 +133,6 @@ int cmdReplay(const std::vector<std::string>& args) {
   // line shows.
   obs::MetricsRegistry registry;
 
-  // Crash forensics over the sweep: a replay wedged on one query gets a
-  // stall bundle naming the query file (the Mark events below).
-  obs::flightrec::ForensicsSession forensics;
-  if (!crash_dir.empty()) {
-    obs::flightrec::ForensicsOptions fo;
-    fo.crash_dir = crash_dir;
-    fo.stall_timeout_s = stall_timeout;
-    fo.tool = "rvsym-profile";
-    std::string ferr;
-    if (!forensics.install(fo, &ferr)) {
-      std::fprintf(stderr, "--crash-dir: %s\n", ferr.c_str());
-      return 2;
-    }
-    obs::flightrec::setForensicsMetrics(&registry);
-    obs::flightrec::setThreadName("replay");
-  }
-
   const auto sweep_start = std::chrono::steady_clock::now();
   auto next_heartbeat = sweep_start + std::chrono::duration_cast<
       std::chrono::steady_clock::duration>(
@@ -189,9 +152,6 @@ int cmdReplay(const std::vector<std::string>& args) {
     std::uint64_t now_us = 0;
     solver::CheckResult got;
     const char* via = "";
-    obs::flightrec::emit(obs::flightrec::EventKind::Mark, replayed,
-                         q->constraints.size(), 0, base.c_str());
-    obs::flightrec::busyBegin();
     if (accel) {
       const solver::ReplayOutcome out = solver::replayQueryOpt(eb, *q, ropts);
       got = out.verdict;
@@ -201,7 +161,6 @@ int cmdReplay(const std::vector<std::string>& args) {
     } else {
       got = solver::replayQuery(eb, *q, &now_us);
     }
-    obs::flightrec::busyEnd();
     // Unknown was never dumped by telemetry (budget artifact), so any
     // recorded verdict is a semantic fact the replay must reproduce.
     const bool match = got == q->verdict;

@@ -24,13 +24,6 @@
 //       With two: diff the deterministic surface (header + ts_final
 //       minus t_*/qc_* fields) — the sampler's --jobs parity check.
 //
-//   rvsym-report crash <bundle-dir> [--timeline N] [--queries N]
-//       Render a rvsym-crash-v1 bundle (written by --crash-dir on a
-//       fatal signal, stall, or SIGUSR1): thread table with stall
-//       attribution, interleaved per-thread event timeline, the last
-//       solver queries with durations, and the in-flight query that was
-//       on the SAT solver when the bundle was dumped.
-//
 //   rvsym-report trace-events --merge <dir> [--out FILE]
 //       Stitch the per-process Chrome traces a campaign daemon writes
 //       with --trace-events-dir (daemon.trace.json + one file per
@@ -54,7 +47,6 @@
 #include <vector>
 
 #include "obs/analyze/coverage_map.hpp"
-#include "obs/analyze/crash_report.hpp"
 #include "obs/analyze/diff.hpp"
 #include "obs/analyze/path_tree.hpp"
 #include "obs/analyze/timeseries.hpp"
@@ -74,7 +66,6 @@ int usage() {
       "[--holes]\n"
       "       rvsym-report diff <runA> <runB>\n"
       "       rvsym-report timeseries <run.jsonl> [other.jsonl]\n"
-      "       rvsym-report crash <bundle-dir> [--timeline N] [--queries N]\n"
       "       rvsym-report trace-events --merge <dir> [--out FILE]\n"
       "       rvsym-report history list <runs.rvhx|state-dir>\n"
       "       rvsym-report history show <runs.rvhx|state-dir> <job>\n"
@@ -237,33 +228,6 @@ int cmdTimeseries(const std::vector<std::string>& args) {
   return 1;
 }
 
-int cmdCrash(const std::vector<std::string>& args) {
-  std::string dir;
-  std::size_t timeline = 40, queries = 8;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--timeline" && i + 1 < args.size()) {
-      timeline = static_cast<std::size_t>(std::strtoul(args[++i].c_str(),
-                                                       nullptr, 10));
-    } else if (args[i] == "--queries" && i + 1 < args.size()) {
-      queries = static_cast<std::size_t>(std::strtoul(args[++i].c_str(),
-                                                      nullptr, 10));
-    } else if (dir.empty() && args[i][0] != '-') {
-      dir = args[i];
-    } else {
-      return usage();
-    }
-  }
-  if (dir.empty()) return usage();
-  std::string err;
-  const std::optional<CrashBundle> bundle = loadCrashBundle(dir, &err);
-  if (!bundle) {
-    std::fprintf(stderr, "rvsym-report: %s\n", err.c_str());
-    return 2;
-  }
-  std::fputs(renderCrashReport(*bundle, timeline, queries).c_str(), stdout);
-  return 0;
-}
-
 int cmdTraceEvents(const std::vector<std::string>& args) {
   std::string dir, out;
   for (std::size_t i = 0; i < args.size(); ++i) {
@@ -276,12 +240,6 @@ int cmdTraceEvents(const std::vector<std::string>& args) {
     }
   }
   if (dir.empty()) return usage();
-#ifdef RVSYM_OBS_NO_TRACING
-  std::fprintf(stderr,
-               "trace-events needs tracing, which this build compiled out "
-               "(RVSYM_DISABLE_TRACING)\n");
-  return 2;
-#else
   if (out.empty()) out = dir + "/merged.trace.json";
   std::string err;
   const auto stats = obs::fleet::mergeChromeTraceDir(dir, out, &err);
@@ -297,7 +255,6 @@ int cmdTraceEvents(const std::vector<std::string>& args) {
                 static_cast<unsigned long long>(stats->skipped));
   std::printf("\n");
   return 0;
-#endif
 }
 
 /// `runs.rvhx` or the state dir holding it both address the store.
@@ -380,7 +337,6 @@ int main(int argc, char** argv) {
   if (cmd == "coverage") return cmdCoverage(args);
   if (cmd == "diff") return cmdDiff(args);
   if (cmd == "timeseries") return cmdTimeseries(args);
-  if (cmd == "crash") return cmdCrash(args);
   if (cmd == "trace-events") return cmdTraceEvents(args);
   if (cmd == "history") return cmdHistory(args);
   return usage();

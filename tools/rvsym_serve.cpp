@@ -2,7 +2,7 @@
 //
 //   rvsym-serve daemon --socket EP --state-dir DIR [--cache-dir DIR]
 //       [--workers N] [--engine-jobs N] [--units-per-shard N]
-//       [--max-queued-jobs N] [--idle-compact SECS] [--crash-dir DIR]
+//       [--max-queued-jobs N] [--idle-compact SECS]
 //       [--thread-workers] [--fail-after-units N] [--verbose]
 //       Run the campaign server: accept jobs over EP ("unix:<path>" or
 //       "tcp:<port>", loopback), schedule them across worker processes
@@ -23,7 +23,7 @@
 //   rvsym-serve drain  --socket EP [--wait]
 //   rvsym-serve ping   --socket EP [--json]
 //   rvsym-serve scrape --socket EP
-//       Fetch the fleet-wide Prometheus text exposition (DESIGN.md §14)
+//       Fetch the fleet-wide Prometheus text exposition (DESIGN.md §13)
 //       over the frame protocol and print it verbatim. The same text is
 //       served as plain HTTP on the daemon's --metrics-listen endpoint.
 #include <unistd.h>
@@ -59,7 +59,7 @@ int usage() {
       "usage: rvsym-serve daemon --socket EP --state-dir DIR\n"
       "           [--cache-dir DIR] [--workers N] [--engine-jobs N]\n"
       "           [--units-per-shard N] [--max-queued-jobs N]\n"
-      "           [--idle-compact SECS] [--crash-dir DIR]\n"
+      "           [--idle-compact SECS]\n"
       "           [--metrics-listen EP] [--trace-events-dir DIR]\n"
       "           [--no-history]\n"
       "           [--thread-workers] [--fail-after-units N] [--verbose]\n"
@@ -122,10 +122,6 @@ int runDaemon(int argc, char** argv) {
       const char* v = next();
       if (!v) return usage();
       opts.cache_dir = v;
-    } else if (arg == "--crash-dir") {
-      const char* v = next();
-      if (!v) return usage();
-      opts.crash_dir = v;
     } else if (arg == "--workers") {
       const char* v = next();
       if (!v) return usage();
@@ -170,14 +166,6 @@ int runDaemon(int argc, char** argv) {
     }
   }
   if (!have_socket || opts.state_dir.empty()) return usage();
-#ifdef RVSYM_OBS_NO_TRACING
-  if (!opts.trace_dir.empty()) {
-    std::fprintf(stderr,
-                 "--trace-events-dir needs tracing, which this build "
-                 "compiled out (RVSYM_DISABLE_TRACING)\n");
-    return 2;
-  }
-#endif
   std::signal(SIGINT, onSignal);
   std::signal(SIGTERM, onSignal);
   opts.stop_flag = &g_stop;

@@ -147,10 +147,7 @@ std::string renderLine(const TimeseriesRun& run, bool finished,
     out += ' ';
     out += s.extra;
   }
-  if (finished)
-    out += run.final_record->getBool("t_abnormal").value_or(false)
-               ? " [crashed]"
-               : " [finished]";
+  if (finished) out += " [finished]";
   if (reconnecting) out += " [reconnecting]";
   return out;
 }
@@ -169,14 +166,9 @@ std::string renderFrame(const TimeseriesRun& run, bool finished,
   }
   const TimeseriesSample& s = run.samples.back();
 
-  const char* status =
-      reconnecting
-          ? "  [reconnecting]"
-          : finished
-                ? (run.final_record->getBool("t_abnormal").value_or(false)
-                       ? "  [crashed]"
-                       : "  [finished]")
-                : "";
+  const char* status = reconnecting ? "  [reconnecting]"
+                       : finished   ? "  [finished]"
+                                    : "";
   std::snprintf(buf, sizeof buf, "rvsym-top — %s  t=%.1fs  sample #%llu%s",
                 run.header.kind.empty() ? "?" : run.header.kind.c_str(),
                 s.t_s, static_cast<unsigned long long>(s.seq), status);

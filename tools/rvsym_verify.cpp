@@ -24,7 +24,6 @@
 #include "fault/faults.hpp"
 #include "fuzz/hybrid.hpp"
 #include "obs/bundle.hpp"
-#include "obs/flightrec/crashdump.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/phase.hpp"
@@ -76,11 +75,6 @@ void usage(const char* argv0) {
       "                     (default 10000)\n"
       "  --repro-dir DIR    dump a repro bundle per voter mismatch\n"
       "  --replay BUNDLE    re-run a repro bundle concretely and exit\n"
-      "  --crash-dir DIR    arm crash forensics: fatal signals and SIGUSR1\n"
-      "                     dump a rvsym-crash-v1 bundle here (render with\n"
-      "                     rvsym-report crash)\n"
-      "  --stall-timeout S  with --crash-dir: dump a bundle when a worker\n"
-      "                     makes no progress for S seconds (run continues)\n"
       "  --help\n",
       argv0);
 }
@@ -128,8 +122,6 @@ int main(int argc, char** argv) {
   std::string trace_out, metrics_out, repro_dir, replay_dir;
   std::string profile_out, slow_query_dir;
   std::string timeseries_out, status_file, trace_events_out;
-  std::string crash_dir;
-  double stall_timeout = 0;
   unsigned limit = 1, regs = 2, jobs = 1;
   std::uint64_t paths = 2000;
   std::uint64_t slow_query_us = 10000;
@@ -169,8 +161,6 @@ int main(int argc, char** argv) {
       slow_query_us = static_cast<std::uint64_t>(std::atoll(value()));
     else if (arg == "--repro-dir") repro_dir = value();
     else if (arg == "--replay") replay_dir = value();
-    else if (arg == "--crash-dir") crash_dir = value();
-    else if (arg == "--stall-timeout") stall_timeout = std::atof(value());
     else if (arg == "--stop-on-error") stop_on_error = true;
     else if (arg == "--coverage") want_coverage = true;
     else if (arg == "--monitor") monitor = true;
@@ -180,27 +170,6 @@ int main(int argc, char** argv) {
       usage(argv[0]);
       return 2;
     }
-  }
-
-#ifdef RVSYM_OBS_NO_TRACING
-  if (!timeseries_out.empty() || !status_file.empty() ||
-      !trace_events_out.empty()) {
-    std::fprintf(stderr,
-                 "--timeseries-out/--status-file/--trace-events-out need "
-                 "tracing, which this build compiled out "
-                 "(RVSYM_DISABLE_TRACING)\n");
-    return 2;
-  }
-  if (!crash_dir.empty() || stall_timeout > 0) {
-    std::fprintf(stderr,
-                 "--crash-dir/--stall-timeout need crash forensics, which "
-                 "this build compiled out (RVSYM_DISABLE_TRACING)\n");
-    return 2;
-  }
-#endif
-  if (stall_timeout > 0 && crash_dir.empty()) {
-    std::fprintf(stderr, "--stall-timeout requires --crash-dir\n");
-    return 2;
   }
 
   if (!replay_dir.empty()) return runReplay(replay_dir);
@@ -308,18 +277,17 @@ int main(int argc, char** argv) {
     }
   }
   const bool want_metrics = !metrics_out.empty();
-  // The live surfaces (sampler, status file, crash bundles) read the same
-  // registry the --metrics-out dump serializes, so any of them turns it on.
+  // The live surfaces (sampler, status file) read the same registry the
+  // --metrics-out dump serializes, so any of them turns it on.
   const bool want_registry = want_metrics || !timeseries_out.empty() ||
-                             !status_file.empty() || !crash_dir.empty();
+                             !status_file.empty();
   const bool want_spans = !trace_events_out.empty();
 
   // Solver telemetry: per-query timing into the registry plus the
   // slow-query corpus. On whenever a consumer exists (it implies
   // per-check solver timing, so keep it off for plain runs).
   std::unique_ptr<solver::SolverTelemetry> telemetry;
-  if (!slow_query_dir.empty() || want_registry || want_spans ||
-      !crash_dir.empty()) {
+  if (!slow_query_dir.empty() || want_registry || want_spans) {
     solver::SolverTelemetry::Options topts;
     topts.corpus_dir = slow_query_dir;
     topts.slow_query_us = slow_query_us;
@@ -327,24 +295,6 @@ int main(int argc, char** argv) {
     if (want_registry) telemetry->attachMetrics(registry);
   }
 
-  // Crash forensics: flight recorder + fatal/SIGUSR1 handlers + stall
-  // watchdog. The RAII session detaches the registry pointer and restores
-  // signal dispositions before main returns.
-  obs::flightrec::ForensicsSession forensics;
-  if (!crash_dir.empty()) {
-    obs::flightrec::ForensicsOptions fo;
-    fo.crash_dir = crash_dir;
-    fo.stall_timeout_s = stall_timeout;
-    fo.tool = "rvsym-verify";
-    std::string err;
-    if (!forensics.install(fo, &err)) {
-      std::fprintf(stderr, "--crash-dir: %s\n", err.c_str());
-      return 2;
-    }
-    obs::flightrec::setForensicsMetrics(&registry);
-    obs::flightrec::setThreadName("main");
-    if (telemetry) telemetry->enableInFlightCapture(true);
-  }
   obs::PhaseProfiler profiler;
   obs::SpanCollector spans;
   if (want_spans) {
